@@ -9,8 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use soda_core::{FeedbackStore, SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, FeedbackStore, SodaConfig};
 use soda_eval::experiments::historization::historization_comparison;
 use soda_eval::experiments::run_workload_with_engine;
 use soda_eval::report::print_historization;
@@ -23,8 +24,14 @@ const CONFIG: EnterpriseConfig = EnterpriseConfig {
     data_scale: 0.15,
 };
 
-fn mean_best_f1(warehouse: &Warehouse, engine: &SodaEngine<'_>) -> f64 {
-    let evals = run_workload_with_engine(warehouse, engine);
+/// Builds one engine per configuration over a shared warehouse.
+fn engines(warehouse: Warehouse) -> impl Fn(SodaConfig) -> EngineSnapshot {
+    let (db, graph) = warehouse.shared_parts();
+    move |config| EngineSnapshot::build(Arc::clone(&db), Arc::clone(&graph), config)
+}
+
+fn mean_best_f1(engine: &EngineSnapshot) -> f64 {
+    let evals = run_workload_with_engine(engine);
     evals.iter().map(|e| e.best.f1()).sum::<f64>() / evals.len() as f64
 }
 
@@ -36,8 +43,8 @@ fn bench_historization(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("extension_historization");
     group.sample_size(10);
-    for (name, warehouse) in [("plain", &plain), ("annotated", &annotated)] {
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    for (name, warehouse) in [("plain", plain), ("annotated", annotated)] {
+        let engine = engines(warehouse)(SodaConfig::default());
         group.bench_with_input(BenchmarkId::from_parameter(name), &engine, |b, engine| {
             b.iter(|| black_box(engine.search("Sara").unwrap().len()))
         });
@@ -52,7 +59,7 @@ fn bench_historization(c: &mut Criterion) {
 
 /// Far-fetching: workload quality and latency as the join-path bound grows.
 fn bench_far_fetching(c: &mut Criterion) {
-    let warehouse = enterprise::build_with(CONFIG);
+    let engine = engines(enterprise::build_with(CONFIG));
 
     let mut group = c.benchmark_group("extension_far_fetching");
     group.sample_size(10);
@@ -61,10 +68,11 @@ fn bench_far_fetching(c: &mut Criterion) {
             max_join_path_length: bound,
             ..SodaConfig::default()
         };
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
-        group.bench_with_input(BenchmarkId::from_parameter(bound), &engine, |b, engine| {
-            b.iter(|| black_box(run_workload_with_engine(&warehouse, engine).len()))
-        });
+        group.bench_with_input(
+            BenchmarkId::from_parameter(bound),
+            &engine(config),
+            |b, engine| b.iter(|| black_box(run_workload_with_engine(engine).len())),
+        );
     }
     group.finish();
 
@@ -74,10 +82,9 @@ fn bench_far_fetching(c: &mut Criterion) {
             max_join_path_length: bound,
             ..SodaConfig::default()
         };
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
         println!(
             "  max_join_path_length = {bound:<2}  mean best-F1 = {:.3}",
-            mean_best_f1(&warehouse, &engine)
+            mean_best_f1(&engine(config))
         );
     }
 }
@@ -85,17 +92,12 @@ fn bench_far_fetching(c: &mut Criterion) {
 /// Compactness re-ranking and relevance feedback: latency of the re-ranked
 /// search plus a summary of how the top interpretation changes.
 fn bench_reranking(c: &mut Criterion) {
-    let warehouse = enterprise::build_with(CONFIG);
-    let default_engine =
-        SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
-    let compact_engine = SodaEngine::new(
-        &warehouse.database,
-        &warehouse.graph,
-        SodaConfig {
-            compactness_rerank: true,
-            ..SodaConfig::default()
-        },
-    );
+    let engine = engines(enterprise::build_with(CONFIG));
+    let default_engine = engine(SodaConfig::default());
+    let compact_engine = engine(SodaConfig {
+        compactness_rerank: true,
+        ..SodaConfig::default()
+    });
 
     let mut group = c.benchmark_group("extension_reranking");
     group.sample_size(10);

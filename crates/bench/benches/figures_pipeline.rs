@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, SodaConfig};
 use soda_eval::experiments::figures;
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::minibank;
@@ -17,7 +18,11 @@ fn bench_figures(c: &mut Criterion) {
         padding: false,
         data_scale: 0.1,
     });
-    let engine = SodaEngine::new(&bank.database, &bank.graph, SodaConfig::default());
+    let engine = EngineSnapshot::build(
+        Arc::new(bank.database.clone()),
+        Arc::new(bank.graph.clone()),
+        SodaConfig::default(),
+    );
 
     let mut group = c.benchmark_group("figures_pipeline");
     group.sample_size(20);

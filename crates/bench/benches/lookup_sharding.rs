@@ -23,10 +23,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
-use soda_warehouse::Warehouse;
 
 /// Probe-heavy lookup workload (see the module docs for why these tokens).
 const QUERIES: &[&str] = &[
@@ -37,10 +37,10 @@ const QUERIES: &[&str] = &[
     "Schmid",
 ];
 
-fn engine(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
-    SodaEngine::new(
-        &warehouse.database,
-        &warehouse.graph,
+fn engine(db: &Arc<Database>, graph: &Arc<MetaGraph>, shards: usize) -> EngineSnapshot {
+    EngineSnapshot::build(
+        Arc::clone(db),
+        Arc::clone(graph),
         SodaConfig {
             shards,
             ..SodaConfig::default()
@@ -51,19 +51,20 @@ fn engine(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
 fn bench_lookup_sharding(c: &mut Criterion) {
     // Scale both the transactional tables and the party-rooted dimensions so
     // the probe-token postings lists are long, and long across many tables.
-    let warehouse = enterprise::build_with_dimensions(
+    let (db, graph) = enterprise::build_with_dimensions(
         EnterpriseConfig {
             seed: 42,
             padding: true,
             data_scale: 2.0,
         },
         8.0,
-    );
+    )
+    .shared_parts();
 
     let mut group = c.benchmark_group("lookup_sharding");
     group.sample_size(10);
     for shards in [1usize, 2, 4, 8] {
-        let engine = engine(&warehouse, shards);
+        let engine = engine(&db, &graph, shards);
         group.bench_with_input(
             BenchmarkId::new("lookup_step", shards),
             &engine,
@@ -118,7 +119,7 @@ fn bench_lookup_sharding(c: &mut Criterion) {
                 b.iter(|| {
                     let mut hits = 0usize;
                     for (shard, probe) in &targets {
-                        hits += shard.probe_phrase(&warehouse.database, probe).len();
+                        hits += shard.probe_phrase(engine.database(), probe).len();
                     }
                     black_box(hits)
                 })

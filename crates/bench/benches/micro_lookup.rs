@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use soda_core::{ClassificationIndex, SodaConfig, SodaEngine};
+use soda_core::{ClassificationIndex, EngineSnapshot, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::minibank;
 use soda_warehouse::Warehouse;
@@ -29,25 +30,20 @@ fn bench_lookup(c: &mut Criterion) {
     group.sample_size(10);
 
     for (name, warehouse) in warehouses() {
-        group.bench_with_input(
-            BenchmarkId::new("engine_construction", name),
-            &warehouse,
-            |b, w| {
-                b.iter(|| {
-                    black_box(SodaEngine::new(
-                        &w.database,
-                        &w.graph,
-                        SodaConfig::default(),
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("classification_index_build", name),
-            &warehouse,
-            |b, w| b.iter(|| black_box(ClassificationIndex::build(&w.graph, true).len())),
-        );
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+        let (db, graph) = warehouse.shared_parts();
+        group.bench_function(BenchmarkId::new("engine_construction", name), |b| {
+            b.iter(|| {
+                black_box(EngineSnapshot::build(
+                    Arc::clone(&db),
+                    Arc::clone(&graph),
+                    SodaConfig::default(),
+                ))
+            })
+        });
+        group.bench_function(BenchmarkId::new("classification_index_build", name), |b| {
+            b.iter(|| black_box(ClassificationIndex::build(&graph, true).len()))
+        });
+        let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
         group.bench_with_input(
             BenchmarkId::new("keyword_query", name),
             &engine,

@@ -640,6 +640,46 @@ mod tests {
         );
     }
 
+    /// The join catalog depends only on the graph and the schema, so every
+    /// data-side derive must share it by `Arc` — a deep copy would make each
+    /// ingest cost O(warehouse).  Only a graph refresh rebuilds it.
+    #[test]
+    fn every_data_derive_shares_the_join_catalog() {
+        let handle = minibank_handle(4);
+        let shares_catalog = |old: &EngineSnapshot, new: &EngineSnapshot| {
+            std::ptr::eq(old.join_catalog(), new.join_catalog())
+        };
+
+        let before = handle.load();
+        handle.absorb(&address_feed(900, "Catalogville")).unwrap();
+        let absorbed = handle.load();
+        assert!(shares_catalog(&before, &absorbed), "ingest");
+
+        let logged = absorbed.shards_with_side_logs();
+        assert!(handle.compact(&logged).is_some());
+        let compacted = handle.load();
+        assert!(shares_catalog(&absorbed, &compacted), "compaction");
+
+        handle.rebuild_shards(compacted.database_arc(), &["addresses".to_string()]);
+        let rebuilt = handle.load();
+        assert!(shares_catalog(&compacted, &rebuilt), "per-shard rebuild");
+
+        let slots = rebuilt.shard_generations().to_vec();
+        handle
+            .restore_generations(rebuilt.generation(), &slots)
+            .unwrap();
+        let restored = handle.load();
+        assert!(shares_catalog(&rebuilt, &restored), "generation restore");
+
+        handle.refresh_graph(restored.graph_arc());
+        let refreshed = handle.load();
+        assert!(!shares_catalog(&restored, &refreshed), "graph refresh");
+        assert_eq!(
+            refreshed.search("Catalogville").unwrap(),
+            restored.search("Catalogville").unwrap()
+        );
+    }
+
     #[test]
     fn concurrent_readers_never_observe_a_torn_swap() {
         let handle = Arc::new(minibank_handle(2));

@@ -21,11 +21,20 @@
 //!    hits and metadata-defined business terms ("wealthy customers").
 //! 5. **SQL** — combine everything into executable SQL.
 //!
+//! One type runs all five: [`EngineSnapshot`] owns the warehouse behind
+//! `Arc`s together with every index the steps consult, and serves one-shot
+//! experiments and the concurrent `soda-service` worker pool alike.
+//!
 //! ```
-//! use soda_core::{SodaConfig, SodaEngine};
+//! use std::sync::Arc;
+//! use soda_core::{EngineSnapshot, SodaConfig};
 //!
 //! let warehouse = soda_warehouse::minibank::build(42);
-//! let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+//! let engine = EngineSnapshot::build(
+//!     Arc::new(warehouse.database),
+//!     Arc::new(warehouse.graph),
+//!     SodaConfig::default(),
+//! );
 //! let results = engine.search("Sara Guttinger").unwrap();
 //! assert!(!results.is_empty());
 //! assert!(results[0].sql.starts_with("SELECT"));
@@ -35,7 +44,6 @@ pub mod budget;
 pub mod classification;
 pub mod codec;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod feedback;
 pub mod handle;
@@ -54,7 +62,6 @@ pub mod tenant;
 pub use budget::ProbeBudget;
 pub use classification::ClassificationIndex;
 pub use config::{RankingWeights, SodaConfig};
-pub use engine::SodaEngine;
 pub use error::{Result, SodaError};
 pub use feedback::FeedbackStore;
 pub use handle::{AbsorbOutcome, SnapshotHandle};

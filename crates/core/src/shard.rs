@@ -137,7 +137,6 @@ impl ProbeRecorder {
 }
 
 /// Per-shard sizes and probe counts of one engine's lookup layer, exposed by
-/// [`SodaEngine::shard_stats`](crate::SodaEngine::shard_stats) /
 /// [`EngineSnapshot::shard_stats`](crate::EngineSnapshot::shard_stats) and
 /// embedded in the serving layer's `ServiceMetrics`.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]

@@ -1,12 +1,16 @@
-//! Owned, shareable engine state for long-lived query serving.
+//! The SODA engine: the five pipeline steps over one warehouse.
 //!
-//! [`SodaEngine`](crate::SodaEngine) borrows its warehouse, which is the
-//! right shape for one-shot experiments but not for a service: a serving
-//! process builds the warehouse once, then answers queries from many threads
-//! for hours.  [`EngineSnapshot`] is the owned counterpart — it holds the
-//! base data and the metadata graph behind [`Arc`]s together with the built
-//! indexes (classification index, inverted index, join catalog), is
-//! `Send + Sync`, and can outlive whatever built it.
+//! An [`EngineSnapshot`] is built once per warehouse — it builds the
+//! classification index over the metadata labels, the inverted index over
+//! the base data and the join catalog — and then answers any number of
+//! keyword queries, each returning a ranked list of executable SQL
+//! statements: the paper's "result page" from which the business user
+//! picks.
+//!
+//! The snapshot owns the base data and the metadata graph behind [`Arc`]s,
+//! is `Send + Sync`, and can outlive whatever built it, so the same value
+//! serves a one-shot experiment and a long-lived worker pool (the
+//! `soda-service` crate) alike.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -26,32 +30,37 @@
 //! assert!(!results.is_empty());
 //! ```
 
+use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use soda_metagraph::MetaGraph;
-use soda_relation::{Database, ResultSet, ShardedInvertedIndex};
+use soda_relation::{print_select, Database, ResultSet, ShardedInvertedIndex};
+use soda_trace::{names, NoopSink, SpanId, TraceSink};
 
 use crate::classification::ClassificationIndex;
 use crate::config::SodaConfig;
-use crate::engine::EngineCore;
 use crate::error::Result;
 use crate::feedback::FeedbackStore;
 use crate::joins::JoinCatalog;
 use crate::patterns::SodaPatterns;
 use crate::pipeline::lookup::LookupResult;
-use crate::result::{QueryTrace, ResultPage, SodaResult, StepTimings};
-use crate::shard::{ProbeDep, ProbeRecorder, ShardStats};
-use crate::suggest::TermSuggestion;
+use crate::pipeline::{filters, lookup, rank, sqlgen, tables, PipelineContext};
+use crate::query::parse_query;
+use crate::result::{Interpretation, QueryTrace, ResultPage, SodaResult, StepTimings};
+use crate::shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};
+use crate::suggest::{suggest_for_term, TermSuggestion};
 
-/// An owned, immutable, thread-safe SODA engine.
+/// The SODA engine: an owned, immutable, thread-safe snapshot of one
+/// warehouse and every index the pipeline consults.
 ///
-/// Construction cost is identical to [`SodaEngine`](crate::SodaEngine) (the
-/// same indexes are built); afterwards every method takes `&self` and the
-/// whole snapshot can be wrapped in an [`Arc`] and shared across threads —
-/// the `soda-service` crate builds its worker pool on exactly that.
+/// Every method takes `&self`, and the whole snapshot can be wrapped in an
+/// [`Arc`] and shared across threads — the `soda-service` crate builds its
+/// worker pool on exactly that.
 ///
 /// The snapshot is built around the *sharded* lookup layer: both indexes are
-/// partitioned into `config.shards` partitions at construction and every
+/// partitioned into `config.shards` partitions by stable hashes
+/// (classification by phrase, inverted index by owning table), and every
 /// query's lookup step fans its base-data probes out across them;
 /// [`shard_stats`](Self::shard_stats) reports the per-shard sizes and probe
 /// counts the serving layer folds into its metrics.
@@ -71,10 +80,26 @@ use crate::suggest::TermSuggestion;
 /// stop being addressable; for data-only swaps the serving layer re-keys
 /// pages that provably never consulted a dirty shard
 /// ([`retains_page`](Self::retains_page)) instead of recomputing them.
+///
+/// Everything expensive sits behind [`Arc`]s (the index shards internally,
+/// the base data, the graph, the join catalog and the probe counters here),
+/// so a derived next generation shares every structure it does not rebuild
+/// with its parent instead of copying it.
 pub struct EngineSnapshot {
     db: Arc<Database>,
     graph: Arc<MetaGraph>,
-    core: EngineCore,
+    config: SodaConfig,
+    patterns: SodaPatterns,
+    classification: ClassificationIndex,
+    index: Option<ShardedInvertedIndex>,
+    joins: Arc<JoinCatalog>,
+    probes: Arc<ShardProbes>,
+    /// Per-shard index sizes (side-log gauges included), measured once per
+    /// construction: the indexes are immutable afterwards, and recounting
+    /// postings on every metrics poll would be O(distinct tokens).  The
+    /// `probes` and `generations` fields are filled in by
+    /// [`shard_stats`](Self::shard_stats).
+    sizes: ShardStats,
     /// Generation stamped at publication (0 = never published via a handle).
     generation: u64,
     /// Generation that last rebuilt each lookup-layer partition.
@@ -87,32 +112,66 @@ pub struct EngineSnapshot {
     fingerprint: u64,
 }
 
+/// Measures the per-shard sizes of both indexes.
+fn measure(
+    shards: usize,
+    classification: &ClassificationIndex,
+    index: Option<&ShardedInvertedIndex>,
+) -> ShardStats {
+    let (index_tokens, index_postings, log_postings, log_rows, log_masks) = match index {
+        Some(index) => (
+            index.shards().iter().map(|s| s.token_count()).collect(),
+            index.shards().iter().map(|s| s.posting_count()).collect(),
+            index.side_log_postings(),
+            index.side_log_rows(),
+            index.side_log_masks(),
+        ),
+        None => (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+    };
+    ShardStats {
+        shards,
+        classification_phrases: classification.shard_sizes(),
+        index_tokens,
+        index_postings,
+        log_postings,
+        log_rows,
+        log_masks,
+        probes: Vec::new(),
+        generations: Vec::new(),
+    }
+}
+
 impl EngineSnapshot {
     /// Builds a snapshot over an owned warehouse with the default patterns.
     pub fn build(db: Arc<Database>, graph: Arc<MetaGraph>, config: SodaConfig) -> Self {
         Self::with_patterns(db, graph, config, SodaPatterns::default())
     }
 
-    /// Builds a snapshot with custom metadata-graph patterns.
+    /// Builds a snapshot with custom metadata-graph patterns (how SODA is
+    /// ported to a warehouse with different modelling conventions).
     pub fn with_patterns(
         db: Arc<Database>,
         graph: Arc<MetaGraph>,
         config: SodaConfig,
         patterns: SodaPatterns,
     ) -> Self {
-        let core = EngineCore::build(&db, &graph, config, patterns);
-        Self::from_parts(db, graph, core)
-    }
-
-    /// Assembles a snapshot from already-built engine state (used by
-    /// [`SodaEngine::into_shared`](crate::SodaEngine::into_shared) to avoid
-    /// rebuilding the indexes).
-    pub(crate) fn from_parts(db: Arc<Database>, graph: Arc<MetaGraph>, core: EngineCore) -> Self {
-        let shards = core.config().shards.max(1);
+        let shards = config.shards.max(1);
+        let classification = ClassificationIndex::build_sharded(&graph, config.use_dbpedia, shards);
+        let index = config
+            .use_inverted_index
+            .then(|| ShardedInvertedIndex::build_sharded(&db, shards));
+        let joins = Arc::new(JoinCatalog::build(&graph, &patterns, &db));
+        let sizes = measure(shards, &classification, index.as_ref());
         Self {
             db,
             graph,
-            core,
+            config,
+            patterns,
+            classification,
+            index,
+            joins,
+            probes: Arc::new(ShardProbes::new(shards)),
+            sizes,
             generation: 0,
             shard_generations: vec![0; shards],
             fingerprint: 0,
@@ -138,7 +197,13 @@ impl EngineSnapshot {
         Self {
             db: Arc::clone(&self.db),
             graph: Arc::clone(&self.graph),
-            core: self.core.share(),
+            config: self.config.clone(),
+            patterns: self.patterns.clone(),
+            classification: self.classification.clone(),
+            index: self.index.clone(),
+            joins: Arc::clone(&self.joins),
+            probes: Arc::clone(&self.probes),
+            sizes: self.sizes.clone(),
             generation,
             shard_generations,
             fingerprint: 0,
@@ -151,35 +216,68 @@ impl EngineSnapshot {
     /// and stamped with `generation`; every other structure — classification
     /// index, join catalog, probe counters, untouched index partitions — is
     /// shared with `self`.
+    ///
+    /// The join catalog reads the database only to resolve schema-level
+    /// names, so a data-only delta cannot change it — which is what makes
+    /// sharing it here sound.
     pub(crate) fn derive_rebuilt_tables(
         &self,
         db: Arc<Database>,
         tables: &[String],
         generation: u64,
     ) -> Self {
-        let (core, affected) = self.core.derive_with_rebuilt_tables(&db, tables);
-        let mut shard_generations = self.shard_generations.clone();
-        for shard in affected {
-            if let Some(slot) = shard_generations.get_mut(shard) {
-                *slot = generation;
-            }
-        }
+        let affected = self.shards_for_tables(tables);
+        self.derive_rebuilt_partitions(db, &affected, generation)
+    }
+
+    /// Derives a snapshot in which the partitions named by `shards` are
+    /// rebuilt from the *current* base data, folding (and clearing) their
+    /// side logs — a compaction.  Answers are unchanged by construction (the
+    /// database already contains every logged row); the folded shards' slots
+    /// get `generation` so fingerprint-scoped caches notice.
+    pub(crate) fn derive_compacted(&self, shards: &[usize], generation: u64) -> Self {
+        self.derive_rebuilt_partitions(Arc::clone(&self.db), shards, generation)
+    }
+
+    /// The snapshot over `db` in which exactly the inverted-index partitions
+    /// named by `affected` are rebuilt from `db` (folding — and clearing —
+    /// their side logs) and stamped with `generation`; everything else is
+    /// shared with `self`.
+    fn derive_rebuilt_partitions(
+        &self,
+        db: Arc<Database>,
+        affected: &[usize],
+        generation: u64,
+    ) -> Self {
+        let index = self
+            .index
+            .as_ref()
+            .map(|index| index.with_rebuilt_shards(&db, affected));
+        let sizes = measure(self.shard_count(), &self.classification, index.as_ref());
         Self {
             db,
             graph: Arc::clone(&self.graph),
-            core,
+            config: self.config.clone(),
+            patterns: self.patterns.clone(),
+            classification: self.classification.clone(),
+            index,
+            joins: Arc::clone(&self.joins),
+            probes: Arc::clone(&self.probes),
+            sizes,
             generation,
-            shard_generations,
+            shard_generations: self.bump_slots(affected.iter().copied(), generation),
             fingerprint: 0,
         }
         .sealed()
     }
 
     /// Derives a snapshot that has absorbed a row-level change feed: the
-    /// events are applied to a copy of the base data and routed into
-    /// per-shard side logs — **no frozen index partition is touched**.  The
-    /// shards whose logs changed get `generation` stamped into their slot
-    /// (they answer differently now), everything else is shared with `self`.
+    /// events are applied to a copy of the base data and their indexed
+    /// consequences routed into per-shard side logs — **no frozen index
+    /// partition is touched**, queries merge log and partition on the fly.
+    /// The shards whose logs changed get `generation` stamped into their
+    /// slot (they answer differently now), everything else is shared with
+    /// `self`.  With the inverted index disabled only the base data moves.
     ///
     /// The feed is consumed (rows move by value) and the derived database
     /// structurally shares every untouched table with `self`'s — the whole
@@ -190,73 +288,100 @@ impl EngineSnapshot {
         feed: soda_ingest::ChangeFeed,
         generation: u64,
     ) -> Result<(Self, soda_ingest::IngestReport)> {
-        let (db, core, report) = self.core.derive_with_ingested(&self.db, feed)?;
-        let mut shard_generations = self.shard_generations.clone();
-        for &shard in &report.touched_shards {
-            if let Some(slot) = shard_generations.get_mut(shard) {
-                *slot = generation;
+        let ingestor = soda_ingest::Ingestor::new(self.shard_count());
+        let mut db = Database::clone(&self.db);
+        let (index, report) = match &self.index {
+            Some(index) => {
+                // Clone only the logs the feed will touch (the others get
+                // cheap empty placeholders and are `Arc`-shared afterwards),
+                // so an ingest never copies the accumulated overlays of
+                // unrelated shards.
+                let will_touch = self.shards_for_tables(&feed.tables());
+                let mut logs: Vec<soda_relation::SideLog> = index
+                    .side_logs()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, log)| {
+                        if will_touch.contains(&i) {
+                            (**log).clone()
+                        } else {
+                            soda_relation::SideLog::default()
+                        }
+                    })
+                    .collect();
+                let report = ingestor.absorb_feed(&mut db, &mut logs, feed)?;
+                debug_assert_eq!(
+                    report.touched_shards, will_touch,
+                    "ingestor routing must agree with shards_for_tables"
+                );
+                let patches: Vec<(usize, soda_relation::SideLog)> = report
+                    .touched_shards
+                    .iter()
+                    .map(|&shard| (shard, std::mem::take(&mut logs[shard])))
+                    .collect();
+                (Some(index.with_patched_side_logs(patches)), report)
             }
-        }
-        Ok((
-            Self {
-                db: Arc::new(db),
-                graph: Arc::clone(&self.graph),
-                core,
-                generation,
-                shard_generations,
-                fingerprint: 0,
-            }
-            .sealed(),
-            report,
-        ))
-    }
-
-    /// Derives a snapshot in which the partitions named by `shards` are
-    /// rebuilt from the *current* base data, folding (and clearing) their
-    /// side logs — a compaction.  Answers are unchanged by construction (the
-    /// database already contains every logged row); the folded shards' slots
-    /// get `generation` so fingerprint-scoped caches notice.
-    pub(crate) fn derive_compacted(&self, shards: &[usize], generation: u64) -> Self {
-        let core = self.core.derive_with_rebuilt_partitions(&self.db, shards);
-        let mut shard_generations = self.shard_generations.clone();
-        for &shard in shards {
-            if let Some(slot) = shard_generations.get_mut(shard) {
-                *slot = generation;
-            }
-        }
-        Self {
-            db: Arc::clone(&self.db),
+            None => (None, ingestor.apply_feed(&mut db, feed)?),
+        };
+        let sizes = measure(self.shard_count(), &self.classification, index.as_ref());
+        let next = Self {
+            db: Arc::new(db),
             graph: Arc::clone(&self.graph),
-            core,
+            config: self.config.clone(),
+            patterns: self.patterns.clone(),
+            classification: self.classification.clone(),
+            index,
+            joins: Arc::clone(&self.joins),
+            probes: Arc::clone(&self.probes),
+            sizes,
             generation,
-            shard_generations,
+            shard_generations: self.bump_slots(report.touched_shards.iter().copied(), generation),
             fingerprint: 0,
-        }
-        .sealed()
+        };
+        Ok((next.sealed(), report))
     }
 
     /// Derives a snapshot over a refreshed metadata graph (unchanged base
-    /// data): the classification index is rebuilt sharing every unchanged
-    /// partition, the join catalog is rebuilt, and only the classification
-    /// partitions the refresh touched get `generation` stamped into their
-    /// slot.
+    /// data): the classification index is rebuilt sharing every partition
+    /// whose content survived the refresh
+    /// ([`ClassificationIndex::rebuild_shared`]), the graph-derived join
+    /// catalog is rebuilt, and the inverted index and probe counters are
+    /// shared.  Only the classification partitions the refresh touched get
+    /// `generation` stamped into their slot.
     pub(crate) fn derive_refreshed_graph(&self, graph: Arc<MetaGraph>, generation: u64) -> Self {
-        let (core, changed) = self.core.derive_with_refreshed_graph(&self.db, &graph);
-        let mut shard_generations = self.shard_generations.clone();
-        for (slot, changed) in shard_generations.iter_mut().zip(&changed) {
-            if *changed {
-                *slot = generation;
-            }
-        }
+        let (classification, changed) = self
+            .classification
+            .rebuild_shared(&graph, self.config.use_dbpedia);
+        let changed = (0..changed.len()).filter(|&shard| changed[shard]);
+        let joins = Arc::new(JoinCatalog::build(&graph, &self.patterns, &self.db));
+        let sizes = measure(self.shard_count(), &classification, self.index.as_ref());
         Self {
             db: Arc::clone(&self.db),
             graph,
-            core,
+            config: self.config.clone(),
+            patterns: self.patterns.clone(),
+            classification,
+            index: self.index.clone(),
+            joins,
+            probes: Arc::clone(&self.probes),
+            sizes,
             generation,
-            shard_generations,
+            shard_generations: self.bump_slots(changed, generation),
             fingerprint: 0,
         }
         .sealed()
+    }
+
+    /// This snapshot's per-shard generation vector with the slots of
+    /// `shards` set to `generation`.
+    fn bump_slots(&self, shards: impl Iterator<Item = usize>, generation: u64) -> Vec<u64> {
+        let mut slots = self.shard_generations.clone();
+        for shard in shards {
+            if let Some(slot) = slots.get_mut(shard) {
+                *slot = generation;
+            }
+        }
+        slots
     }
 
     /// Generation stamped at publication (0 when the snapshot never went
@@ -289,7 +414,7 @@ impl EngineSnapshot {
     fn sealed(mut self) -> Self {
         // FNV-1a over the generation vector, seeded by the config
         // fingerprint: cheap, stable, and sensitive to slot order.
-        let mut hash = self.config().fingerprint() ^ 0xcbf2_9ce4_8422_2325;
+        let mut hash = self.config.fingerprint() ^ 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
             for byte in v.to_le_bytes() {
                 hash ^= u64::from(byte);
@@ -326,47 +451,68 @@ impl EngineSnapshot {
 
     /// The engine configuration.
     pub fn config(&self) -> &SodaConfig {
-        self.core.config()
+        &self.config
     }
 
     /// The join catalog (exposed for experiments and figures).
     pub fn join_catalog(&self) -> &JoinCatalog {
-        self.core.join_catalog()
+        &self.joins
     }
 
     /// The classification index (exposed for experiments and figures).
     pub fn classification_index(&self) -> &ClassificationIndex {
-        self.core.classification_index()
+        &self.classification
     }
 
     /// The inverted index over the base data, if enabled.
     pub fn inverted_index(&self) -> Option<&ShardedInvertedIndex> {
-        self.core.inverted_index()
+        self.index.as_ref()
     }
 
     /// Number of lookup-layer shards this snapshot was built with.
     pub fn shard_count(&self) -> usize {
-        self.config().shards.max(1)
+        self.config.shards.max(1)
     }
 
-    /// Per-shard sizes and probe counts of the lookup layer, with this
-    /// snapshot's per-shard generation vector overlaid.
+    /// Per-shard sizes of both indexes (measured at construction), the live
+    /// probe counters and this snapshot's per-shard generation vector —
+    /// cheap enough for every metrics poll.
     pub fn shard_stats(&self) -> ShardStats {
-        let mut stats = self.core.shard_stats();
-        stats.generations = self.shard_generations.clone();
-        stats
+        ShardStats {
+            probes: self.probes.counts(),
+            generations: self.shard_generations.clone(),
+            ..self.sizes.clone()
+        }
     }
 
     /// The partitions owning `tables`, sorted and deduplicated — the dirty
     /// set of a data-only swap over those tables.
     pub fn shards_for_tables(&self, tables: &[String]) -> Vec<usize> {
-        self.core.shards_for_tables(tables)
+        let shard_count = self.shard_count();
+        let mut affected: Vec<usize> = tables
+            .iter()
+            .map(|t| soda_relation::shard_for_table(t, shard_count))
+            .collect();
+        affected.sort_unstable();
+        affected.dedup();
+        affected
     }
 
     /// The shards currently carrying a non-empty ingestion side log —
     /// compaction candidates.
     pub fn shards_with_side_logs(&self) -> Vec<usize> {
-        self.core.shards_with_side_logs()
+        self.index
+            .as_ref()
+            .map(|index| {
+                index
+                    .side_logs()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, log)| !log.is_empty())
+                    .map(|(i, _)| i)
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     /// Decides whether a result page computed against an *earlier* snapshot
@@ -402,7 +548,7 @@ impl EngineSnapshot {
     /// cache passes memoize it per distinct dependency through a
     /// [`RetentionGate`].
     pub fn probe_dep_unchanged(&self, dep: &ProbeDep, dirty: &[usize]) -> bool {
-        let Some(index) = self.core.inverted_index() else {
+        let Some(index) = &self.index else {
             // Without an inverted index no query consults base rows during
             // interpretation, so data deltas cannot change any page.
             return true;
@@ -417,120 +563,329 @@ impl EngineSnapshot {
         }
     }
 
-    /// Like [`search_paged`](Self::search_paged), additionally reporting
-    /// into `recorder` which shards the query's base-data probes scanned and
-    /// which probe token each phrase selected — the dependency set
-    /// [`retains_page`](Self::retains_page) consumes.
-    pub fn search_paged_recorded(
-        &self,
-        input: &str,
-        page: usize,
-        page_size: usize,
-        recorder: &ProbeRecorder,
-    ) -> Result<ResultPage> {
-        self.core.search_paged(
-            &self.db,
-            &self.graph,
-            input,
-            page,
-            page_size,
-            Some(recorder),
-        )
+    /// Runs only Step 1 (lookup) for an input: keyword segmentation plus the
+    /// per-shard classification/base-data probes, without ranking or SQL
+    /// generation.  This is the fan-out hot path the `lookup_sharding`
+    /// benchmark measures.
+    pub fn lookup(&self, input: &str) -> Result<LookupResult> {
+        let query = parse_query(input)?;
+        let ctx = self.context(None, &NoopSink);
+        Ok(lookup::run(&ctx, &query, SpanId::NONE))
     }
 
-    /// The full observability surface of one paged search: probe
-    /// dependencies into `recorder` (when given), pipeline spans into `sink`
-    /// — the root `query` span with one child per stage, and per-shard
-    /// `probe_shard` sub-spans under `lookup` — and the per-stage
-    /// [`StepTimings`] returned alongside the page.
+    /// Translates a keyword query into a ranked list of SQL statements.
+    pub fn search(&self, input: &str) -> Result<Vec<SodaResult>> {
+        self.run(input, None, self.config.max_results, None, &NoopSink)
+            .map(|(results, ..)| results)
+    }
+
+    /// Like [`search`](Self::search) but also returns the pipeline trace
+    /// (classification, complexity, step timings).
+    pub fn search_traced(&self, input: &str) -> Result<(Vec<SodaResult>, QueryTrace)> {
+        let (results, lookup, solutions, timings) =
+            self.run(input, None, self.config.max_results, None, &NoopSink)?;
+        let trace = QueryTrace {
+            input: input.to_string(),
+            complexity: lookup.complexity(),
+            solutions,
+            results: results.len(),
+            classification: lookup
+                .matches
+                .iter()
+                .map(|m| {
+                    (
+                        m.phrase.clone(),
+                        m.candidates.iter().map(|c| c.provenance).collect(),
+                    )
+                })
+                .collect(),
+            unmatched: lookup.unmatched,
+            timings,
+        };
+        Ok((results, trace))
+    }
+
+    /// Like [`search`](Self::search) but folding accumulated relevance
+    /// feedback (§6.3 — users like or dislike results) into the Step 2
+    /// ranking: interpretation choices the user liked gain score, disliked
+    /// ones lose it.
+    pub fn search_with_feedback(
+        &self,
+        input: &str,
+        feedback: &FeedbackStore,
+    ) -> Result<Vec<SodaResult>> {
+        self.run(
+            input,
+            Some(feedback),
+            self.config.max_results,
+            None,
+            &NoopSink,
+        )
+        .map(|(results, ..)| results)
+    }
+
+    /// One page of the ranked result list (the paper's "next result page"):
+    /// page `0` returns the first `page_size` statements, page `1` the next
+    /// ones, and so on.  The engine materialises up to
+    /// `(page + 1) * page_size` statements for the request, independent of
+    /// `config.max_results`.  A page past the end of the list is empty.
+    pub fn search_paged(&self, input: &str, page: usize, page_size: usize) -> Result<ResultPage> {
+        self.search_paged_observed(input, page, page_size, None, &NoopSink)
+            .map(|(page, _)| page)
+    }
+
+    /// [`search_paged`](Self::search_paged) with the full observability
+    /// surface:
     ///
-    /// With [`soda_trace::NoopSink`] this is exactly
-    /// [`search_paged_recorded`](Self::search_paged_recorded): span
-    /// reporting is guarded by [`soda_trace::TraceSink::enabled`] at every
-    /// site, so tracing can never perturb the generated SQL (the
-    /// `shard_invariance` suite pins this).
+    /// * `recorder` (when given) learns which shards the query's base-data
+    ///   probes scanned and which probe token each phrase selected — the
+    ///   dependency set [`retains_page`](Self::retains_page) consumes;
+    /// * `sink` receives the pipeline spans: the root `query` span with one
+    ///   child per stage, and per-shard `probe_shard` sub-spans under
+    ///   `lookup`;
+    /// * the per-stage [`StepTimings`] come back alongside the page.
+    ///
+    /// Span reporting is guarded by [`TraceSink::enabled`] at every site, so
+    /// tracing can never perturb the generated SQL (the `shard_invariance`
+    /// suite pins this).
     pub fn search_paged_observed(
         &self,
         input: &str,
         page: usize,
         page_size: usize,
         recorder: Option<&ProbeRecorder>,
-        sink: &dyn soda_trace::TraceSink,
+        sink: &dyn TraceSink,
     ) -> Result<(ResultPage, StepTimings)> {
-        self.core.search_paged_observed(
-            &self.db,
-            &self.graph,
-            input,
-            page,
-            page_size,
-            recorder,
-            sink,
-        )
+        let page_size = page_size.max(1);
+        // Saturating throughout: `page` comes straight from the caller, and
+        // a wrapped offset would serve an earlier page instead of an empty
+        // one.
+        let needed = page
+            .saturating_add(1)
+            .saturating_mul(page_size)
+            .saturating_add(1);
+        let (mut results, _, _, timings) = self.run(input, None, needed, recorder, sink)?;
+        let total_results = results.len();
+        let start = page.saturating_mul(page_size).min(total_results);
+        let end = start.saturating_add(page_size).min(total_results);
+        results.truncate(end);
+        results.drain(..start);
+        Ok((
+            ResultPage {
+                results,
+                page,
+                page_size,
+                total_results,
+                has_next: total_results > end,
+            },
+            timings,
+        ))
     }
 
-    /// Runs only Step 1 (lookup) for an input (see
-    /// [`SodaEngine::lookup`](crate::SodaEngine::lookup)).
-    pub fn lookup(&self, input: &str) -> Result<LookupResult> {
-        self.core.lookup(&self.db, &self.graph, input)
-    }
-
-    /// Translates a keyword query into a ranked list of SQL statements.
-    pub fn search(&self, input: &str) -> Result<Vec<SodaResult>> {
-        self.search_traced(input).map(|(results, _)| results)
-    }
-
-    /// Like [`search`](Self::search) but also returns the pipeline trace.
-    pub fn search_traced(&self, input: &str) -> Result<(Vec<SodaResult>, QueryTrace)> {
-        self.core.search_limited(
-            &self.db,
-            &self.graph,
-            input,
-            None,
-            self.config().max_results,
-            None,
-        )
-    }
-
-    /// Like [`search`](Self::search) but folding accumulated relevance
-    /// feedback into the ranking.
-    pub fn search_with_feedback(
-        &self,
-        input: &str,
-        feedback: &FeedbackStore,
-    ) -> Result<Vec<SodaResult>> {
-        self.core
-            .search_limited(
-                &self.db,
-                &self.graph,
-                input,
-                Some(feedback),
-                self.config().max_results,
-                None,
-            )
-            .map(|(results, _)| results)
-    }
-
-    /// One page of the ranked result list (see
-    /// [`SodaEngine::search_paged`](crate::SodaEngine::search_paged)).
-    pub fn search_paged(&self, input: &str, page: usize, page_size: usize) -> Result<ResultPage> {
-        self.core
-            .search_paged(&self.db, &self.graph, input, page, page_size, None)
-    }
-
-    /// Reformulation suggestions for unmatched input words.
+    /// Reformulation suggestions for the input words the lookup step could not
+    /// match anywhere (NaLIX-style feedback, §6.3): the closest metadata
+    /// phrases per unmatched word.  Runs the lookup step only.
     pub fn suggestions(&self, input: &str) -> Result<Vec<TermSuggestion>> {
-        self.core.suggestions(&self.db, &self.graph, input)
+        Ok(self
+            .lookup(input)?
+            .unmatched
+            .into_iter()
+            .map(|term| TermSuggestion {
+                candidates: suggest_for_term(&self.classification, &term, 5),
+                term,
+            })
+            .filter(|s| !s.candidates.is_empty())
+            .collect())
     }
 
-    /// Executes one generated statement against the base data.
+    /// Executes one generated statement against the base data (the paper
+    /// executes the top 10 partially to produce result snippets; experiments
+    /// execute them fully to compute precision and recall).
     pub fn execute(&self, result: &SodaResult) -> Result<ResultSet> {
-        self.core.execute(&self.db, result)
+        Ok(soda_relation::execute(&self.db, &result.statement)?)
     }
 
     /// Executes a statement and renders the snippet of up to
     /// `config.snippet_rows` rows shown on the result page.
     pub fn snippet(&self, result: &SodaResult) -> Result<String> {
-        self.core.snippet(&self.db, result)
+        Ok(self.execute(result)?.snippet(self.config.snippet_rows))
+    }
+
+    fn context<'a>(
+        &'a self,
+        recorder: Option<&'a ProbeRecorder>,
+        sink: &'a dyn TraceSink,
+    ) -> PipelineContext<'a> {
+        PipelineContext {
+            db: &self.db,
+            graph: &self.graph,
+            config: &self.config,
+            classification: &self.classification,
+            index: self.index.as_ref(),
+            probes: &self.probes,
+            recorder,
+            sink,
+            patterns: &self.patterns,
+            joins: &self.joins,
+        }
+    }
+
+    /// The five-step pipeline behind every search.  Returns up to
+    /// `max_results` statements together with what a [`QueryTrace`] is built
+    /// from: the lookup outcome, the number of ranked solutions and the
+    /// per-step timings.
+    ///
+    /// Stage durations are measured unconditionally; span construction is
+    /// guarded by [`TraceSink::enabled`], so the [`NoopSink`] path adds one
+    /// virtual call per stage over an untraced pipeline.  The lookup and
+    /// rank stages run once and get live spans; tables, filters and SQL
+    /// generation run once *per solution*, so their accumulated durations
+    /// are reported as one aggregate span each after the loop
+    /// ([`TraceSink::record_span`]).
+    fn run(
+        &self,
+        input: &str,
+        feedback: Option<&FeedbackStore>,
+        max_results: usize,
+        recorder: Option<&ProbeRecorder>,
+        sink: &dyn TraceSink,
+    ) -> Result<(Vec<SodaResult>, LookupResult, usize, StepTimings)> {
+        let ctx = self.context(recorder, sink);
+        let enabled = sink.enabled();
+        let root = if enabled {
+            let root = sink.begin_span(names::QUERY, SpanId::NONE);
+            sink.annotate(root, "input", input.into());
+            root
+        } else {
+            SpanId::NONE
+        };
+        let query = parse_query(input)?;
+        let mut timings = StepTimings::default();
+
+        // Step 1 — lookup.
+        let t0 = Instant::now();
+        let lookup_span = if enabled {
+            sink.begin_span(names::LOOKUP, root)
+        } else {
+            SpanId::NONE
+        };
+        let lookup_result = lookup::run(&ctx, &query, lookup_span);
+        if enabled {
+            sink.annotate(lookup_span, "terms", lookup_result.matches.len().into());
+            sink.annotate(lookup_span, "complexity", lookup_result.complexity().into());
+            sink.end_span(lookup_span);
+        }
+        timings.lookup = t0.elapsed();
+
+        // Step 2 — rank and top N.
+        let t0 = Instant::now();
+        let rank_span = if enabled {
+            sink.begin_span(names::RANK, root)
+        } else {
+            SpanId::NONE
+        };
+        let solutions = rank::enumerate_and_rank_boosted(
+            &lookup_result,
+            &self.config.weights,
+            self.config.top_n.max(max_results),
+            1_000,
+            |entry| {
+                feedback
+                    .map(|f| f.adjustment(&entry.phrase, self.graph.uri(entry.node)))
+                    .unwrap_or(0.0)
+            },
+        );
+        if enabled {
+            sink.annotate(rank_span, "solutions", solutions.len().into());
+            sink.end_span(rank_span);
+        }
+        timings.rank = t0.elapsed();
+
+        let mut results: Vec<SodaResult> = Vec::new();
+        let mut seen_sql: HashSet<String> = HashSet::new();
+
+        for solution in &solutions {
+            // Step 3 — tables and joins.
+            let t0 = Instant::now();
+            let mut plan = tables::run(&ctx, solution);
+            timings.tables += t0.elapsed();
+
+            // Step 4 — filters.
+            let t0 = Instant::now();
+            let (filter_exprs, notes) =
+                filters::run(&ctx, solution, &mut plan, &lookup_result.constraints);
+            timings.filters += t0.elapsed();
+
+            // Step 5 — SQL.
+            let t0 = Instant::now();
+            let statement = sqlgen::run(&ctx, &plan, &filter_exprs, &lookup_result);
+            timings.sql += t0.elapsed();
+
+            let Some(statement) = statement else { continue };
+            let sql = print_select(&statement);
+            if !seen_sql.insert(sql.clone()) {
+                continue;
+            }
+            results.push(SodaResult {
+                sql,
+                statement,
+                score: solution.score,
+                tables: plan.tables.iter().cloned().collect(),
+                interpretation: solution
+                    .entries
+                    .iter()
+                    .map(|e| Interpretation {
+                        phrase: e.phrase.clone(),
+                        provenance: e.provenance,
+                        entry_uri: self.graph.uri(e.node).to_string(),
+                    })
+                    .collect(),
+                join_path_complete: plan.join_path_complete,
+                used_bridges: plan.used_bridges.clone(),
+                notes,
+            });
+            if results.len() >= max_results {
+                break;
+            }
+        }
+
+        // Optional compactness re-ranking (BLINKS-inspired extension): among
+        // interpretations, the ones that connect their entry points with fewer
+        // tables and a complete join path are more likely to reflect the
+        // user's intent, so they are promoted.  The paper's default ranking is
+        // provenance-only, hence the flag.
+        if self.config.compactness_rerank {
+            for result in &mut results {
+                let extra_tables = result.tables.len().saturating_sub(1) as f64;
+                let incomplete = if result.join_path_complete { 0.0 } else { 0.5 };
+                result.score /= 1.0 + 0.1 * extra_tables + incomplete;
+            }
+            results.sort_by(|a, b| {
+                b.score
+                    .partial_cmp(&a.score)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+
+        if enabled {
+            sink.record_span(
+                names::TABLES,
+                root,
+                timings.tables,
+                vec![("solutions", solutions.len().into())],
+            );
+            sink.record_span(names::FILTERS, root, timings.filters, Vec::new());
+            sink.record_span(
+                names::SQLGEN,
+                root,
+                timings.sql,
+                vec![("results", results.len().into())],
+            );
+            sink.annotate(root, "results", results.len().into());
+            sink.end_span(root);
+        }
+
+        Ok((results, lookup_result, solutions.len(), timings))
     }
 }
 
@@ -589,7 +944,6 @@ impl<'a> RetentionGate<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SodaEngine;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -615,34 +969,31 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_borrowed_engine() {
-        let w = soda_warehouse::minibank::build(42);
-        let engine = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
-        let snapshot = EngineSnapshot::build(
-            Arc::new(w.database.clone()),
-            Arc::new(w.graph.clone()),
-            SodaConfig::default(),
-        );
+    fn every_search_entry_point_runs_the_same_pipeline() {
+        let (db, graph) = soda_warehouse::minibank::build(42).shared_parts();
+        let snapshot = EngineSnapshot::build(db, graph, SodaConfig::default());
+        let max = snapshot.config().max_results;
         for query in [
             "Sara Guttinger",
             "wealthy customers",
             "sum (amount) group by (transaction date)",
         ] {
-            let borrowed = engine.search(query).unwrap();
-            let owned = snapshot.search(query).unwrap();
-            assert_eq!(borrowed, owned, "divergence on '{query}'");
+            let results = snapshot.search(query).unwrap();
+            let (traced, trace) = snapshot.search_traced(query).unwrap();
+            assert_eq!(results, traced, "divergence on '{query}'");
+            assert_eq!(trace.results, results.len());
+            let feedback = snapshot
+                .search_with_feedback(query, &FeedbackStore::new())
+                .unwrap();
+            assert_eq!(results, feedback, "divergence on '{query}'");
+            let sink = soda_trace::CollectingSink::new();
+            let recorder = ProbeRecorder::new();
+            let (page, _) = snapshot
+                .search_paged_observed(query, 0, max, Some(&recorder), &sink)
+                .unwrap();
+            assert_eq!(page.results, results, "divergence on '{query}'");
+            assert_eq!(page, snapshot.search_paged(query, 0, max).unwrap());
         }
-    }
-
-    #[test]
-    fn into_shared_preserves_behaviour() {
-        let w = soda_warehouse::minibank::build(42);
-        let engine = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
-        let before = engine.search("wealthy customers").unwrap();
-        let snapshot = engine.into_shared();
-        drop(w);
-        let after = snapshot.search("wealthy customers").unwrap();
-        assert_eq!(before, after);
     }
 
     #[test]
@@ -711,7 +1062,7 @@ mod tests {
         let recorder = crate::shard::ProbeRecorder::new();
         handle
             .load()
-            .search_paged_recorded("Sara Guttinger", 0, 10, &recorder)
+            .search_paged_observed("Sara Guttinger", 0, 10, Some(&recorder), &NoopSink)
             .unwrap();
         let deps = recorder.deps();
         assert!(!deps.is_empty(), "the query probes the base data");
@@ -753,14 +1104,14 @@ mod tests {
         let nowhere = crate::shard::ProbeRecorder::new();
         handle
             .load()
-            .search_paged_recorded("Nowhereville", 0, 10, &nowhere)
+            .search_paged_observed("Nowhereville", 0, 10, Some(&nowhere), &NoopSink)
             .unwrap();
         let nowhere_deps = nowhere.deps();
         assert!(nowhere_deps.iter().any(|d| d.token.is_none()));
         let retain_probe = crate::shard::ProbeRecorder::new();
         handle
             .load()
-            .search_paged_recorded("Retainville", 0, 10, &retain_probe)
+            .search_paged_observed("Retainville", 0, 10, Some(&retain_probe), &NoopSink)
             .unwrap();
         assert!(
             retain_probe.deps().iter().any(|d| d.token.is_some()),

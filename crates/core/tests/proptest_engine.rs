@@ -4,9 +4,14 @@
 
 use proptest::prelude::*;
 
-use soda_core::{parse_query, SodaConfig, SodaEngine};
+use soda_core::{parse_query, EngineSnapshot, SodaConfig};
 use soda_relation::parse_select;
 use soda_warehouse::minibank;
+
+fn minibank_engine() -> EngineSnapshot {
+    let (db, graph) = minibank::build(42).shared_parts();
+    EngineSnapshot::build(db, graph, SodaConfig::default())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -31,20 +36,19 @@ proptest! {
             1..5
         )
     ) {
-        // Building the warehouse per case would dominate; a thread-local
-        // warehouse keeps the property fast.
+        // Building the engine per case would dominate; a thread-local
+        // engine keeps the property fast.
         thread_local! {
-            static ENGINE_DATA: (soda_warehouse::Warehouse,) = (minibank::build(42),);
+            static ENGINE: EngineSnapshot = minibank_engine();
         }
-        ENGINE_DATA.with(|(warehouse,)| {
-            let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+        ENGINE.with(|engine| {
             let input = words.join(" ");
             if let Ok(results) = engine.search(&input) {
                 for r in results {
                     let parsed = parse_select(&r.sql);
                     prop_assert!(parsed.is_ok(), "unparseable SQL: {}", r.sql);
                     prop_assert!(
-                        warehouse.database.run_sql(&r.sql).is_ok(),
+                        engine.database().run_sql(&r.sql).is_ok(),
                         "inexecutable SQL: {}",
                         r.sql
                     );
@@ -68,10 +72,9 @@ proptest! {
         )
     ) {
         thread_local! {
-            static ENGINE_DATA: (soda_warehouse::Warehouse,) = (minibank::build(42),);
+            static ENGINE: EngineSnapshot = minibank_engine();
         }
-        ENGINE_DATA.with(|(warehouse,)| {
-            let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+        ENGINE.with(|engine| {
             if let Ok(results) = engine.search(&words.join(" ")) {
                 for pair in results.windows(2) {
                     prop_assert!(pair[0].score >= pair[1].score);

@@ -6,9 +6,11 @@
 
 use proptest::prelude::*;
 
-use soda_core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
-use soda_warehouse::{minibank, Warehouse};
+use soda_warehouse::minibank;
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 8];
 
@@ -28,10 +30,14 @@ const CORPUS: &[&str] = &[
     "addresses Zurich Switzerland",
 ];
 
-fn engine_with_shards(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
-    SodaEngine::new(
-        &warehouse.database,
-        &warehouse.graph,
+/// A warehouse's base data and metadata graph, shared by every engine a
+/// test builds over it.
+type Shared = (Arc<Database>, Arc<MetaGraph>);
+
+fn engine_with_shards((db, graph): &Shared, shards: usize) -> EngineSnapshot {
+    EngineSnapshot::build(
+        Arc::clone(db),
+        Arc::clone(graph),
         SodaConfig {
             shards,
             ..SodaConfig::default()
@@ -41,7 +47,7 @@ fn engine_with_shards(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
 
 /// Runs the corpus on one warehouse and asserts full result equality
 /// (SQL text, scores, ranking order, interpretations) across shard counts.
-fn assert_corpus_invariant(name: &str, warehouse: &Warehouse) {
+fn assert_corpus_invariant(name: &str, warehouse: &Shared) {
     let baseline = engine_with_shards(warehouse, 1);
     for &shards in &SHARD_COUNTS[1..] {
         let sharded = engine_with_shards(warehouse, shards);
@@ -64,7 +70,7 @@ fn assert_corpus_invariant(name: &str, warehouse: &Warehouse) {
 
 #[test]
 fn corpus_is_shard_invariant_on_minibank() {
-    let warehouse = minibank::build(42);
+    let warehouse = minibank::build(42).shared_parts();
     assert_corpus_invariant("minibank", &warehouse);
 }
 
@@ -74,7 +80,8 @@ fn corpus_is_shard_invariant_on_the_enterprise_warehouse() {
         seed: 42,
         padding: false,
         data_scale: 0.1,
-    });
+    })
+    .shared_parts();
     assert_corpus_invariant("enterprise", &warehouse);
 }
 
@@ -84,8 +91,7 @@ fn corpus_is_shard_invariant_on_the_enterprise_warehouse() {
 /// — at every shard count, and identical across shard counts.
 #[test]
 fn corpus_is_invariant_with_live_side_logs() {
-    use soda_core::{ChangeFeed, EngineSnapshot, SnapshotHandle, Value};
-    use std::sync::Arc;
+    use soda_core::{ChangeFeed, SnapshotHandle, Value};
 
     let warehouse = minibank::build(42);
     let individual = {
@@ -174,8 +180,7 @@ fn corpus_is_invariant_with_live_side_logs() {
 /// every shard count.  Observability must never change an answer.
 #[test]
 fn tracing_never_changes_answers_or_fingerprints() {
-    use soda_core::{CollectingSink, EngineSnapshot, NoopSink, ProbeRecorder};
-    use std::sync::Arc;
+    use soda_core::{CollectingSink, NoopSink, ProbeRecorder};
 
     let warehouse = minibank::build(42);
     for &shards in &[1usize, 4] {
@@ -236,7 +241,7 @@ proptest! {
         )
     ) {
         thread_local! {
-            static WAREHOUSE: soda_warehouse::Warehouse = minibank::build(42);
+            static WAREHOUSE: Shared = minibank::build(42).shared_parts();
         }
         WAREHOUSE.with(|warehouse| {
             let input = words.join(" ");

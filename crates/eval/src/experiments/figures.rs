@@ -6,8 +6,10 @@
 //! regenerated by running the engine.
 
 use soda_core::patterns::{FOREIGN_KEY_PATTERN, TABLE_PATTERN};
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::SodaConfig;
 use soda_warehouse::{RelationshipKind, Warehouse};
+
+use super::engine_for;
 
 /// Figure 1 — the conceptual schema of the mini-bank as a DOT graph.
 pub fn figure1_dot(warehouse: &Warehouse) -> String {
@@ -71,7 +73,7 @@ pub fn figure3_layers(warehouse: &Warehouse) -> Vec<(&'static str, usize)> {
 /// Figure 4 — the five pipeline steps with their measured share of the SODA
 /// runtime for one query.
 pub fn figure4_trace(warehouse: &Warehouse, query: &str) -> Vec<(&'static str, f64)> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = engine_for(warehouse, SodaConfig::default());
     let (_results, trace) = engine.search_traced(query).unwrap_or_default_trace();
     let total = trace.timings.total().as_secs_f64().max(f64::EPSILON);
     vec![
@@ -97,7 +99,7 @@ impl OrDefaultTrace for soda_core::Result<(Vec<soda_core::SodaResult>, soda_core
 /// Figure 5 — classification of the query "customers Zurich financial
 /// instruments": per keyword, where it was found.
 pub fn figure5_classification(warehouse: &Warehouse) -> Vec<(String, Vec<String>)> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = engine_for(warehouse, SodaConfig::default());
     let (_r, trace) = engine
         .search_traced("customers Zurich financial instruments")
         .unwrap_or_default_trace();
@@ -117,7 +119,7 @@ pub fn figure5_classification(warehouse: &Warehouse) -> Vec<(String, Vec<String>
 /// top-ranked interpretation (union over interpretations reproduces the seven
 /// tables shown in the paper).
 pub fn figure6_tables(warehouse: &Warehouse) -> Vec<Vec<String>> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = engine_for(warehouse, SodaConfig::default());
     engine
         .search("customers Zurich financial instruments")
         .unwrap_or_default()
@@ -140,7 +142,7 @@ pub fn figure8_pattern() -> &'static str {
 /// enterprise warehouse, the join conditions actually used (on the shortest
 /// path) versus every join condition attached to those tables.
 pub fn figure9_direct_path(warehouse: &Warehouse) -> (Vec<String>, Vec<String>) {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = engine_for(warehouse, SodaConfig::default());
     let catalog = engine.join_catalog();
     let used: Vec<String> = catalog
         .path("trade_order_td", "party")
@@ -163,7 +165,7 @@ pub fn figure9_direct_path(warehouse: &Warehouse) -> (Vec<String>, Vec<String>) 
 /// Figure 10 — the complex schema hierarchy around `party`: inheritance
 /// children, their historisation tables and the bridge between siblings.
 pub fn figure10_hierarchy(warehouse: &Warehouse) -> String {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = engine_for(warehouse, SodaConfig::default());
     let catalog = engine.join_catalog();
     let mut out = String::from("party\n");
     for link in &catalog.inheritance {

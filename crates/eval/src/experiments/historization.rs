@@ -15,7 +15,7 @@
 //! result — the business question "find every party ever named Sara" is about
 //! the parties, not the name variants.
 
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::Warehouse;
 
@@ -99,7 +99,7 @@ fn answers_the_question(rs: &ResultSet, gold_columns: &[String]) -> bool {
 /// paper observes that precision stays perfect while historization caps
 /// recall).  Returns `(best_precision, best_recall, page_recall)`.
 fn entity_recall(
-    engine: &SodaEngine<'_>,
+    engine: &EngineSnapshot,
     query: &WorkloadQuery,
     gold: &[String],
     gold_columns: &[String],
@@ -158,10 +158,9 @@ fn entity_recall(
 /// vs. the historization-annotated variant (identical base data).
 pub fn historization_comparison(config: EnterpriseConfig) -> Vec<HistorizationRow> {
     let plain = enterprise::build_with(config);
-    let annotated = enterprise::build_with_historization(config);
-    let plain_engine = SodaEngine::new(&plain.database, &plain.graph, SodaConfig::default());
-    let annotated_engine =
-        SodaEngine::new(&annotated.database, &annotated.graph, SodaConfig::default());
+    let (db, graph) = enterprise::build_with_historization(config).shared_parts();
+    let plain_engine = super::engine_for(&plain, SodaConfig::default());
+    let annotated_engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     affected_queries()
         .into_iter()

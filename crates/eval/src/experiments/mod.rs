@@ -5,9 +5,10 @@ pub mod historization;
 pub mod table1;
 pub mod table5;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, SodaConfig};
 use soda_warehouse::Warehouse;
 
 use crate::metrics::{evaluate, PrecisionRecall};
@@ -60,24 +61,32 @@ pub struct QueryEvaluation {
 /// the data behind both Table 3 (precision/recall) and Table 4 (complexity and
 /// runtime).
 pub fn run_workload(warehouse: &Warehouse, config: SodaConfig) -> Vec<QueryEvaluation> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
-    run_workload_with_engine(warehouse, &engine)
+    run_workload_with_engine(&engine_for(warehouse, config))
+}
+
+/// Builds the engine over a warehouse the experiment keeps using (for the
+/// gold standard and the baselines): the base data and the graph are cloned
+/// into the snapshot, and the database clone shares every table.
+pub(crate) fn engine_for(warehouse: &Warehouse, config: SodaConfig) -> EngineSnapshot {
+    EngineSnapshot::build(
+        Arc::new(warehouse.database.clone()),
+        Arc::new(warehouse.graph.clone()),
+        config,
+    )
 }
 
 /// Like [`run_workload`] but reusing an already constructed engine (the
 /// benchmarks construct the engine once and measure the query phase only).
-pub fn run_workload_with_engine(
-    warehouse: &Warehouse,
-    engine: &SodaEngine<'_>,
-) -> Vec<QueryEvaluation> {
+/// The gold standard runs on the engine's own base data.
+pub fn run_workload_with_engine(engine: &EngineSnapshot) -> Vec<QueryEvaluation> {
     let mut evaluations = Vec::new();
     for query in workload() {
         let gold: Vec<_> = query
             .gold_sql
             .iter()
             .map(|sql| {
-                warehouse
-                    .database
+                engine
+                    .database()
                     .run_sql(sql)
                     .unwrap_or_else(|e| panic!("gold SQL of {} failed: {e}", query.id))
             })

@@ -7,10 +7,11 @@
 //! SQL statement that executes on the warehouse.
 
 use soda_baselines::{all_baselines, capability_matrix, QueryFeature, Support};
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::SodaConfig;
 use soda_relation::InvertedIndex;
 use soda_warehouse::Warehouse;
 
+use super::engine_for;
 use crate::workload::workload;
 
 /// Empirical outcome of one system on the workload.
@@ -82,7 +83,7 @@ pub fn table5(warehouse: &Warehouse) -> Table5 {
     }
 
     // SODA itself.
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = engine_for(warehouse, SodaConfig::default());
     let mut answered = Vec::new();
     for q in &queries {
         let produced = engine

@@ -24,7 +24,7 @@
 //!   continuous background cost).  The folding itself reuses the hot-swap
 //!   layer: `soda_core::SnapshotHandle::{absorb, compact}` publish
 //!   log-bearing and log-folded snapshot generations, and
-//!   `soda_service::QueryService::ingest` plus its background compaction
+//!   `soda_service::TenantAdmin::ingest` plus its background compaction
 //!   worker drive the whole loop under live traffic.
 //!
 //! ```

@@ -326,10 +326,10 @@ impl ShardedInvertedIndex {
             .iter()
             .map(|_| Arc::new(SideLog::default()))
             .collect();
-        Self::from_parts(shards, logs)
+        Self::assemble(shards, logs)
     }
 
-    fn from_parts(shards: Vec<Arc<IndexShard>>, logs: Vec<Arc<SideLog>>) -> Self {
+    fn assemble(shards: Vec<Arc<IndexShard>>, logs: Vec<Arc<SideLog>>) -> Self {
         debug_assert_eq!(shards.len(), logs.len());
         let distinct_tokens = {
             let mut tokens: HashSet<&str> = HashSet::new();
@@ -382,7 +382,7 @@ impl ShardedInvertedIndex {
                 }
             })
             .collect();
-        Self::from_parts(shards, logs)
+        Self::assemble(shards, logs)
     }
 
     /// Derives an index with the same frozen partitions but new side logs —

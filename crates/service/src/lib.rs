@@ -96,7 +96,7 @@ pub use metrics::{
 pub use service::{
     CompactionConfig, DurabilityConfig, JobHandle, JobResult, QueryRequest, QueryResponse,
     QueryService, RecoveryReport, SampledTrace, SamplingConfig, ServiceConfig, ServiceError,
-    SlowQuery, TracedQuery,
+    SlowQuery,
 };
 pub use slo::{AlertState, BurnAlert, SloConfig};
 pub use tenants::{TenantAdmin, TenantRegistry};

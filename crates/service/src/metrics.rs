@@ -87,7 +87,7 @@ pub struct StageLatencies {
 /// are the lifetime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestMetrics {
-    /// Change feeds absorbed ([`QueryService::ingest`](crate::QueryService::ingest)).
+    /// Change feeds absorbed ([`TenantAdmin::ingest`](crate::TenantAdmin::ingest)).
     pub ingests: u64,
     /// Row events those feeds carried.
     pub events: u64,
@@ -185,9 +185,9 @@ pub struct ServiceMetrics {
     /// Size of the worker pool.
     pub workers: usize,
     /// Generation of the snapshot currently being served (bumped by every
-    /// [`reload`](crate::QueryService::reload) /
-    /// [`rebuild_shards`](crate::QueryService::rebuild_shards) /
-    /// [`refresh_graph`](crate::QueryService::refresh_graph)).
+    /// [`reload`](crate::TenantAdmin::reload) /
+    /// [`rebuild_shards`](crate::TenantAdmin::rebuild_shards) /
+    /// [`refresh_graph`](crate::TenantAdmin::refresh_graph)).
     pub generation: u64,
     /// Snapshot swaps performed since the service started (full reloads and
     /// per-shard rebuilds alike; streaming ingests and compactions count

@@ -630,18 +630,6 @@ impl QueryResponse {
     }
 }
 
-/// One result page together with the span tree its traced execution
-/// produced, returned by the deprecated [`QueryService::submit_traced`].
-/// New code reads the same figures off [`QueryResponse`].
-#[derive(Debug, Clone)]
-pub struct TracedQuery {
-    /// The answer, exactly as an untraced submission would produce it.
-    pub page: ResultPage,
-    /// The folded span tree: the `query` root with the five stage spans and
-    /// per-shard probe sub-spans underneath.
-    pub trace: QueryTrace,
-}
-
 /// One slow-query capture: a query whose end-to-end latency reached
 /// [`ServiceConfig::slow_query_threshold`], with the full span tree of its
 /// execution.  Retained in a bounded log ([`QueryService::slow_queries`]).
@@ -1704,39 +1692,6 @@ impl QueryService {
         })
     }
 
-    /// Deprecated spelling of [`query`](Self::query).
-    #[deprecated(note = "use `query` — the handle now yields a `QueryResponse`")]
-    pub fn submit(&self, request: QueryRequest) -> JobHandle {
-        self.query(request)
-    }
-
-    /// Submits a batch and waits for every result, preserving order.
-    ///
-    /// Deprecated: collect [`query`](Self::query) handles and wait on each —
-    /// submission still interleaves with execution exactly as it did here.
-    #[deprecated(note = "collect `query` handles and wait on each")]
-    pub fn submit_batch(&self, requests: Vec<QueryRequest>) -> Vec<JobResult> {
-        let handles: Vec<JobHandle> = requests.into_iter().map(|r| self.query(r)).collect();
-        handles.into_iter().map(JobHandle::wait).collect()
-    }
-
-    /// Runs one query **traced** and returns the page with its span tree.
-    ///
-    /// Deprecated: [`query`](Self::query) with
-    /// [`QueryRequest::traced`] yields the same execution, page and trace on
-    /// the [`QueryResponse`].
-    #[deprecated(note = "use `query` with `QueryRequest::traced`")]
-    pub fn submit_traced(&self, request: QueryRequest) -> Result<TracedQuery, ServiceError> {
-        let response = self.query(request.traced()).wait()?;
-        let trace = response
-            .trace
-            .expect("a traced request always carries a trace");
-        Ok(TracedQuery {
-            page: response.page,
-            trace,
-        })
-    }
-
     /// A point-in-time snapshot of the service's health, the per-tenant
     /// fairness split ([`ServiceMetrics::tenants`]) included.
     pub fn metrics(&self) -> ServiceMetrics {
@@ -2550,13 +2505,6 @@ impl QueryService {
         out
     }
 
-    /// Deprecated spelling of the default tenant's
-    /// [`TenantAdmin::clear_cache`].
-    #[deprecated(note = "use `admin(TenantId::default())` — mutations are tenant-scoped")]
-    pub fn clear_cache(&self) {
-        self.clear_cache_for(self.shared.tenants.default_tenant());
-    }
-
     /// Jobs currently waiting in the queue, all tenant lanes combined.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.lock().expect("queue poisoned").total
@@ -2578,45 +2526,6 @@ impl QueryService {
     /// Generation of the snapshot the default tenant currently serves.
     pub fn generation(&self) -> u64 {
         self.shared.tenants.default_tenant().handle.generation()
-    }
-
-    /// Deprecated spelling of the default tenant's [`TenantAdmin::reload`].
-    #[deprecated(note = "use `admin(TenantId::default())` — mutations are tenant-scoped")]
-    pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
-        self.reload_for(self.shared.tenants.default_tenant(), snapshot)
-    }
-
-    /// Deprecated spelling of the default tenant's
-    /// [`TenantAdmin::rebuild_shards`].
-    #[deprecated(note = "use `admin(TenantId::default())` — mutations are tenant-scoped")]
-    pub fn rebuild_shards(&self, db: Arc<Database>, tables: &[String]) -> u64 {
-        self.rebuild_shards_for(self.shared.tenants.default_tenant(), db, tables)
-    }
-
-    /// Deprecated spelling of the default tenant's
-    /// [`TenantAdmin::refresh_graph`].
-    #[deprecated(note = "use `admin(TenantId::default())` — mutations are tenant-scoped")]
-    pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
-        self.refresh_graph_for(self.shared.tenants.default_tenant(), graph)
-    }
-
-    /// Deprecated spelling of the default tenant's [`TenantAdmin::ingest`].
-    #[deprecated(note = "use `admin(TenantId::default())` — mutations are tenant-scoped")]
-    pub fn ingest(&self, feed: &ChangeFeed) -> Result<u64, ServiceError> {
-        self.ingest_owned_for(self.shared.tenants.default_tenant(), feed.clone())
-    }
-
-    /// Deprecated spelling of the default tenant's
-    /// [`TenantAdmin::ingest_owned`].
-    #[deprecated(note = "use `admin(TenantId::default())` — mutations are tenant-scoped")]
-    pub fn ingest_owned(&self, feed: ChangeFeed) -> Result<u64, ServiceError> {
-        self.ingest_owned_for(self.shared.tenants.default_tenant(), feed)
-    }
-
-    /// Deprecated spelling of the default tenant's [`TenantAdmin::compact`].
-    #[deprecated(note = "use `admin(TenantId::default())` — mutations are tenant-scoped")]
-    pub fn compact(&self, shards: &[usize]) -> Option<u64> {
-        self.compact_for(self.shared.tenants.default_tenant(), shards)
     }
 
     /// Swaps in a full replacement snapshot for one tenant **without
@@ -4308,38 +4217,5 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(service.metrics().cache.hits, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_delegate() {
-        let service = minibank_service(ServiceConfig::default());
-        let a = service
-            .submit(QueryRequest::new("Sara Guttinger"))
-            .wait()
-            .unwrap();
-        let b = service
-            .query(QueryRequest::new("Sara Guttinger"))
-            .wait()
-            .unwrap();
-        assert_eq!(a, b);
-        let batch = service.submit_batch(vec![QueryRequest::new("customers")]);
-        assert_eq!(batch.len(), 1);
-        assert!(batch[0].is_ok());
-        let traced = service
-            .submit_traced(QueryRequest::new("customers"))
-            .unwrap();
-        assert_eq!(traced.page, batch[0].as_ref().unwrap().page);
-        service.ingest(&address_feed(900, "Streamville")).unwrap();
-        assert_eq!(service.generation(), 1);
-        service.clear_cache();
-        assert_eq!(service.metrics().cache.len, 0);
-        let w = soda_warehouse::minibank::build(42);
-        service.reload(EngineSnapshot::build(
-            Arc::new(w.database),
-            Arc::new(w.graph),
-            SodaConfig::default(),
-        ));
-        assert_eq!(service.generation(), 2);
     }
 }

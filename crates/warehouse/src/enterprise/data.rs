@@ -524,7 +524,7 @@ pub fn onboarding_delta(db: &Database, seed: u64, count: usize) -> WarehouseDelt
 
 /// The [`onboarding_delta`] batch as a row-level change feed — the producer
 /// side of *streaming* ingestion: `soda_core::SnapshotHandle::absorb` (or
-/// `soda_service::QueryService::ingest`) replays it into per-shard side
+/// `soda_service::TenantAdmin::ingest`) replays it into per-shard side
 /// logs instead of rebuilding the owning index partitions.
 pub fn onboarding_feed(db: &Database, seed: u64, count: usize) -> soda_ingest::ChangeFeed {
     onboarding_delta(db, seed, count).to_feed()

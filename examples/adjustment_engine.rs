@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --example adjustment_engine`
 
-use soda::core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
 fn main() {
@@ -14,7 +16,11 @@ fn main() {
         padding: false,
         data_scale: 0.5,
     });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = EngineSnapshot::build(
+        Arc::new(warehouse.database),
+        Arc::new(warehouse.graph),
+        SodaConfig::default(),
+    );
 
     // The business user names entities and a measure; SODA supplies the joins.
     let question = "sum(investments) group by (currency)";
@@ -36,8 +42,8 @@ fn main() {
                 &format!(" WHERE trade_order_td.order_dt >= '{year}-01-01' AND trade_order_td.order_dt <= '{year}-12-31' AND ")
             )
         );
-        warehouse
-            .database
+        engine
+            .database()
             .run_sql(sql.trim())
             .expect("period query runs")
     };

@@ -5,16 +5,17 @@
 //!
 //! Run with: `cargo run --example feedback_loop`
 
-use soda::core::{FeedbackStore, SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, FeedbackStore, SodaConfig};
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
 fn main() {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.2,
-    });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    })
+    .shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     // 1. The ambiguous query of Q3.1/Q3.2: "Credit Suisse" is both an
     //    organization and part of agreement names.

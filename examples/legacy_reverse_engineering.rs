@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --example legacy_reverse_engineering`
 
-use soda::core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::explorer::{document_model, reverse_engineer, SchemaBrowser};
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 use soda::warehouse::{build_graph, DomainOntology, SynonymStore};
@@ -60,7 +62,7 @@ fn main() {
     println!();
 
     // 4. And search the legacy system through SODA.
-    let engine = SodaEngine::new(&legacy_db, &graph, SodaConfig::default());
+    let engine = EngineSnapshot::build(Arc::new(legacy_db), Arc::new(graph), SodaConfig::default());
     for query in ["Sara", "trade order amount > 40000", "Credit Suisse"] {
         println!("== SODA over the legacy system: {query}");
         match engine.search(query) {

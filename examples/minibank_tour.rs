@@ -4,11 +4,13 @@
 //!
 //! Run with: `cargo run --example minibank_tour`
 
-use soda::core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::eval::experiments::figures;
 use soda::warehouse::minibank;
 
-fn show(engine: &SodaEngine<'_>, title: &str, query: &str) {
+fn show(engine: &EngineSnapshot, title: &str, query: &str) {
     println!("=== {title}");
     println!("SODA : {query}");
     match engine.search(query) {
@@ -29,7 +31,13 @@ fn show(engine: &SodaEngine<'_>, title: &str, query: &str) {
 
 fn main() {
     let warehouse = minibank::build(42);
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    // The figure drivers below read the warehouse too, so the engine gets
+    // its own copy (the database clone shares every table).
+    let engine = EngineSnapshot::build(
+        Arc::new(warehouse.database.clone()),
+        Arc::new(warehouse.graph.clone()),
+        SodaConfig::default(),
+    );
 
     // Query 1: keyword pattern example.
     show(&engine, "Query 1 — keyword lookup", "Sara Guttinger");

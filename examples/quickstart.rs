@@ -3,7 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use soda::core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::warehouse::minibank;
 
 fn main() {
@@ -18,7 +20,11 @@ fn main() {
         warehouse.graph.edge_count()
     );
 
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let engine = EngineSnapshot::build(
+        Arc::new(warehouse.database),
+        Arc::new(warehouse.graph),
+        SodaConfig::default(),
+    );
 
     // The three introductory queries of Section 2.
     for query in [

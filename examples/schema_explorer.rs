@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --example schema_explorer`
 
-use soda::core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::eval::experiments::figures;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
@@ -15,7 +17,13 @@ fn main() {
         padding: false,
         data_scale: 0.1,
     });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    // Figure 10 below reads the warehouse too, so the engine gets its own
+    // copy (the database clone shares every table).
+    let engine = EngineSnapshot::build(
+        Arc::new(warehouse.database.clone()),
+        Arc::new(warehouse.graph.clone()),
+        SodaConfig::default(),
+    );
 
     // 1. Where does a business term live?  The classification index answers
     //    directly, without generating SQL.

@@ -51,7 +51,8 @@
 //!
 //! // Build the paper's running example (Figures 1 and 2) with seeded data.
 //! let warehouse = soda::warehouse::minibank::build(42);
-//! let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+//! let (db, graph) = warehouse.shared_parts();
+//! let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 //!
 //! // "What is the address of Sara Guttinger?"
 //! let results = engine.search("Sara Guttinger").unwrap();
@@ -75,7 +76,7 @@ pub use soda_warehouse as warehouse;
 pub mod prelude {
     pub use soda_core::{
         EngineSnapshot, FeedbackStore, ResultPage, ShardStats, SnapshotHandle, SodaConfig,
-        SodaEngine, SodaResult,
+        SodaResult,
     };
     pub use soda_explorer::SchemaBrowser;
     pub use soda_ingest::{ChangeFeed, CompactionPolicy, Ingestor, RowEvent};
@@ -85,7 +86,7 @@ pub mod prelude {
         AlertState, BurnAlert, CompactionConfig, DurabilityConfig, FsyncPolicy, JobHandle,
         JobResult, QueryRequest, QueryResponse, QueryService, RecoveryReport, SampledTrace,
         SamplingConfig, ServiceConfig, ServiceMetrics, SloConfig, SlowQuery, TenantAdmin, TenantId,
-        TenantMetrics, TracedQuery,
+        TenantMetrics,
     };
     pub use soda_trace::{CollectingSink, NoopSink, OpEvent, QueryTrace, TraceSink};
     pub use soda_warehouse::Warehouse;

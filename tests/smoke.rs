@@ -33,25 +33,26 @@ fn facade_reexports_resolve() {
     let warehouse = soda::warehouse::minibank::build(42);
     assert!(warehouse.database.table_count() > 0);
 
-    // soda::core
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
-    assert!(!engine.search("Zurich").unwrap().is_empty());
-
-    // soda::eval
-    assert!(!soda::eval::workload().is_empty());
-
     // soda::baselines and soda::explorer ride along on the same facade.
     assert_eq!(soda::baselines::all_baselines().len(), 5);
     let browser = SchemaBrowser::new(&warehouse.database, &warehouse.graph);
     assert!(!browser.tables().is_empty());
+
+    // soda::core
+    let (db, graph) = warehouse.shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
+    assert!(!engine.search("Zurich").unwrap().is_empty());
+
+    // soda::eval
+    assert!(!soda::eval::workload().is_empty());
 }
 
 /// The README/lib.rs quickstart: build the mini-bank, ask one keyword query,
 /// get executable SQL back.
 #[test]
 fn quickstart_keyword_query_yields_sql() {
-    let warehouse = soda::warehouse::minibank::build(42);
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let (db, graph) = soda::warehouse::minibank::build(42).shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     let results = engine.search("Sara Guttinger").unwrap();
     assert!(!results.is_empty());
@@ -62,8 +63,8 @@ fn quickstart_keyword_query_yields_sql() {
     // The generated SQL is not just a string — it parses and executes on the
     // same warehouse, and actually finds Sara Guttinger.
     soda::relation::parse_select(sql).expect("generated SQL must parse");
-    let result_set = warehouse
-        .database
+    let result_set = engine
+        .database()
         .run_sql(sql)
         .expect("generated SQL must execute");
     assert!(!result_set.is_empty(), "no rows for: {sql}");
