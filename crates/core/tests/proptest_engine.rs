@@ -8,6 +8,11 @@ use soda_core::{parse_query, EngineSnapshot, SodaConfig};
 use soda_relation::parse_select;
 use soda_warehouse::minibank;
 
+/// Printable ASCII plus Latin-1, Greek, Cyrillic, CJK, kana, emoji,
+/// combining marks and zero-width characters: multi-byte UTF-8 of every
+/// width, up to 200 characters.
+const UNICODE_INPUT: &str = "[ -~¡-ÿΑ-ωА-я一-丿ぁ-ん😀-🙏\u{300}-\u{36F}\u{200B}-\u{200D}]{0,200}";
+
 fn minibank_engine() -> EngineSnapshot {
     let (db, graph) = minibank::build(42).shared_parts();
     EngineSnapshot::build(db, graph, SodaConfig::default())
@@ -16,10 +21,10 @@ fn minibank_engine() -> EngineSnapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The input parser never panics on arbitrary printable input, and any
+    /// The input parser never panics on arbitrary Unicode input, and any
     /// successfully parsed query preserves at least one term.
     #[test]
-    fn query_parser_never_panics(input in "[ -~]{0,60}") {
+    fn query_parser_never_panics(input in UNICODE_INPUT) {
         if let Ok(query) = parse_query(&input) { prop_assert!(!query.terms.is_empty()) }
     }
 

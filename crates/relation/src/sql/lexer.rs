@@ -63,22 +63,26 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
             }
             ';' => i += 1,
             '\'' => {
+                // Quotes are ASCII, so every quote byte sits on a char
+                // boundary: the literal is copied as UTF-8 slices between
+                // them, never byte by byte.
                 let mut s = String::new();
                 i += 1;
+                let mut start = i;
                 let mut closed = false;
                 while i < bytes.len() {
-                    let c2 = bytes[i] as char;
-                    if c2 == '\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] as char == '\'' {
+                    if bytes[i] == b'\'' {
+                        s.push_str(&input[start..i]);
+                        if bytes.get(i + 1) == Some(&b'\'') {
                             s.push('\'');
                             i += 2;
+                            start = i;
                             continue;
                         }
                         closed = true;
                         i += 1;
                         break;
                     }
-                    s.push(c2);
                     i += 1;
                 }
                 if !closed {
@@ -144,7 +148,8 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 }
                 tokens.push(Token::Ident(input[start..i].to_string()));
             }
-            other => {
+            _ => {
+                let other = input[i..].chars().next().unwrap_or(c);
                 return Err(RelationError::Parse(format!(
                     "unexpected character {other:?} at byte {i}"
                 )));
@@ -172,6 +177,14 @@ mod tests {
     fn lexes_strings_with_escaped_quotes() {
         let toks = lex("name = 'O''Brien'").unwrap();
         assert_eq!(toks[2], Token::StringLit("O'Brien".into()));
+    }
+
+    #[test]
+    fn lexes_non_ascii_string_literals_intact() {
+        let toks = lex("city = 'Zürich'").unwrap();
+        assert_eq!(toks[2], Token::StringLit("Zürich".into()));
+        let toks = lex("name = 'Müller''s 日本 😀'").unwrap();
+        assert_eq!(toks[2], Token::StringLit("Müller's 日本 😀".into()));
     }
 
     #[test]
@@ -209,5 +222,7 @@ mod tests {
     #[test]
     fn unexpected_character_is_an_error() {
         assert!(lex("a = #").is_err());
+        let err = lex("a = é").unwrap_err().to_string();
+        assert!(err.contains("'é'"), "{err}");
     }
 }

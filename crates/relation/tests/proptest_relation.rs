@@ -4,7 +4,14 @@
 use proptest::prelude::*;
 
 use soda_relation::exec::eval::like_match;
-use soda_relation::{parse_select, print_select, DataType, Database, Date, TableSchema, Value};
+use soda_relation::{
+    parse_select, print_select, CompareOp, DataType, Database, Date, Expr, TableSchema, Value,
+};
+
+/// Printable ASCII (quotes included) plus Latin-1, Greek, Cyrillic, CJK,
+/// kana, emoji, combining marks and zero-width characters: multi-byte
+/// UTF-8 of every width.
+const UNICODE_TEXT: &str = "[ -~¡-ÿΑ-ωА-я一-丿ぁ-ん😀-🙏\u{300}-\u{36F}\u{200B}-\u{200D}]{0,200}";
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -87,6 +94,21 @@ proptest! {
         let printed = print_select(&stmt);
         let reparsed = parse_select(&printed).unwrap();
         prop_assert_eq!(stmt, reparsed);
+    }
+
+    /// A quoted literal of any Unicode text (quotes doubled) parses back to
+    /// exactly that text — multi-byte characters are never split.
+    #[test]
+    fn string_literals_round_trip_any_unicode(text in UNICODE_TEXT) {
+        let sql = format!("SELECT * FROM t WHERE c = '{}'", text.replace('\'', "''"));
+        let stmt = parse_select(&sql).unwrap();
+        let want = Date::parse(&text).map_or_else(|| Value::Text(text.clone()), Value::Date);
+        match stmt.selection {
+            Some(Expr::Compare { op: CompareOp::Eq, right, .. }) => {
+                prop_assert_eq!(*right, Expr::Literal(want));
+            }
+            other => prop_assert!(false, "unexpected selection {:?}", other),
+        }
     }
 }
 

@@ -1,24 +1,22 @@
-//! Service observability: per-query latency accounting and the
+//! Service observability: per-query latency accounting, the
 //! [`ServiceMetrics`] snapshot (QPS, latency percentiles, cache hit rate,
-//! queue depth).
+//! queue depth) and the one table of exported metric families.
 //!
-//! The recorder keeps one fixed-memory [`LogHistogram`] per distribution —
-//! end-to-end latency, queue wait, pipeline execution and each of the five
-//! pipeline stages — so memory stays constant no matter how long the service
-//! runs and the percentiles cover the **whole lifetime**, not a recent
-//! window.
+//! Every latency distribution is a fixed-memory [`LogHistogram`] — each
+//! tenant's end-to-end latency on its own serving state, the queue-wait,
+//! execution and per-stage distributions of executed jobs in the
+//! `LatencyRecorder` — so memory stays constant no matter how long the
+//! service runs and the percentiles cover the **whole lifetime**, not a
+//! recent window.  The figures are lifetime aggregates with a bounded
+//! relative error (one sub-bucket, ≤ `1/32` ≈ 3.1 %) and are monotone by
+//! construction: `min ≤ p50 ≤ p95 ≤ max` always holds.  A reported
+//! quantile never under-reports the exact value (it is the upper bound of
+//! the bucket the exact value landed in, clamped to the observed extremes).
 //!
-//! ## Percentile semantics (changed)
-//!
-//! Earlier versions computed `p50` / `p95` over a sliding window of the most
-//! recent 4096 samples while `min` / `mean` / `max` were lifetime-exact, so
-//! a burst could report a `p95` *below* the lifetime `p50`, and quantiles
-//! silently forgot everything older than the window.  The histogram-backed
-//! figures are lifetime aggregates with a bounded relative error (one
-//! sub-bucket, ≤ `1/32` ≈ 3.1 %) and are monotone by construction:
-//! `min ≤ p50 ≤ p95 ≤ max` always holds.  A reported quantile never
-//! under-reports the exact value (it is the upper bound of the bucket the
-//! exact value landed in, clamped to the observed extremes).
+//! The Prometheus exposition is rendered from `FAMILIES`, one entry per
+//! metric family: name, help, kind, label scope, presence condition and an
+//! accessor over one scrape.  A new family is added there and nowhere
+//! else.
 
 use std::time::Duration;
 
@@ -28,6 +26,7 @@ use soda_trace::names;
 use soda_trace::prom::{MetricKind, PromWriter};
 
 use crate::cache::CacheStats;
+use crate::slo::BurnAlert;
 
 /// Aggregated latency figures, all over the service lifetime.
 ///
@@ -147,7 +146,11 @@ pub struct DurabilityMetrics {
 }
 
 /// One snapshot of the service's health, returned by
-/// [`QueryService::metrics`](crate::QueryService::metrics).
+/// [`QueryService::metrics`](crate::QueryService::metrics).  Every figure
+/// that is also kept per tenant — `completed`, `latency`,
+/// `pipeline_executions`, `slow_queries`, `reloads`, `ingest.ingests`,
+/// `ingest.compactions` — is derived from [`tenants`](Self::tenants): the
+/// sum of the tenant figures, or the merge of their latency histograms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceMetrics {
     /// Time since the service started.
@@ -256,156 +259,551 @@ pub struct TenantMetrics {
     pub durability: DurabilityMetrics,
 }
 
-/// Latency accounting shared by the workers: one log-bucketed histogram per
-/// distribution (~15 KiB each, fixed).  Not internally synchronised; the
-/// service wraps it in a `Mutex`.
-#[derive(Debug)]
+/// Latency accounting of executed jobs, shared by the workers: one
+/// log-bucketed histogram per distribution (~15 KiB each, fixed).  Not
+/// internally synchronised; the service wraps it in a `Mutex` that only
+/// executions take — a warm hit records its end-to-end latency on its
+/// tenant alone.
+#[derive(Debug, Clone)]
 pub(crate) struct LatencyRecorder {
-    /// Submission → completion, every answered query (hits included).
-    e2e: LogHistogram,
-    /// Submission → dequeue, executed jobs only.
-    queue_wait: LogHistogram,
-    /// Dequeue → completion, executed jobs only.
-    execution: LogHistogram,
-    /// Pipeline stages of executed jobs, in [`names::STAGES`] order.
+    /// Submission → dequeue.
+    pub(crate) queue_wait: LogHistogram,
+    /// Dequeue → completion.
+    pub(crate) execution: LogHistogram,
+    /// Pipeline stages, in [`names::STAGES`] order.
     stages: [LogHistogram; 5],
 }
 
 impl LatencyRecorder {
     pub(crate) fn new() -> Self {
         Self {
-            e2e: LogHistogram::new(),
             queue_wait: LogHistogram::new(),
             execution: LogHistogram::new(),
             stages: std::array::from_fn(|_| LogHistogram::new()),
         }
     }
 
-    /// Records a query answered without executing the pipeline — a cache
-    /// hit, or a waiter coalesced onto another submission's computation.
-    /// Only the end-to-end distribution sees it.
-    pub(crate) fn record_hit(&mut self, e2e: Duration) {
-        self.e2e.record(e2e);
-    }
-
-    /// Records a query a worker actually executed: the end-to-end latency,
-    /// its queue-wait / execution split and the per-stage timings.
+    /// Records a query a worker actually executed: its queue-wait /
+    /// execution split and the per-stage timings.
     pub(crate) fn record_executed(
         &mut self,
-        e2e: Duration,
         queue_wait: Duration,
         execution: Duration,
         timings: Option<&StepTimings>,
     ) {
-        self.e2e.record(e2e);
         self.queue_wait.record(queue_wait);
         self.execution.record(execution);
         if let Some(t) = timings {
-            for (hist, stage) in self.stages.iter_mut().zip(stage_durations(t)) {
+            let durations = [t.lookup, t.rank, t.tables, t.filters, t.sql];
+            for (hist, stage) in self.stages.iter_mut().zip(durations) {
                 hist.record(stage);
             }
         }
     }
 
-    /// Attaches a sampled trace id to the end-to-end bucket `e2e` falls
-    /// into — rendered as an OpenMetrics exemplar on
-    /// `soda_query_duration_seconds`.
-    pub(crate) fn annotate_exemplar(&mut self, e2e: Duration, trace_id: &str) {
-        self.e2e.annotate_exemplar(e2e, trace_id);
-    }
-
-    /// Queries answered over the service lifetime.
-    pub(crate) fn count(&self) -> u64 {
-        self.e2e.count()
-    }
-
-    /// End-to-end latency summary.
-    pub(crate) fn summary(&self) -> LatencySummary {
-        LatencySummary::of(&self.e2e)
-    }
-
-    /// Queue-wait summary (executed jobs only).
-    pub(crate) fn queue_wait_summary(&self) -> LatencySummary {
-        LatencySummary::of(&self.queue_wait)
-    }
-
-    /// Execution summary (executed jobs only).
-    pub(crate) fn execution_summary(&self) -> LatencySummary {
-        LatencySummary::of(&self.execution)
-    }
-
-    /// Per-stage summaries (executed jobs only).
+    /// Per-stage summaries.
     pub(crate) fn stage_summaries(&self) -> StageLatencies {
+        let [lookup, rank, tables, filters, sqlgen] =
+            self.stages.each_ref().map(LatencySummary::of);
         StageLatencies {
-            lookup: LatencySummary::of(&self.stages[0]),
-            rank: LatencySummary::of(&self.stages[1]),
-            tables: LatencySummary::of(&self.stages[2]),
-            filters: LatencySummary::of(&self.stages[3]),
-            sqlgen: LatencySummary::of(&self.stages[4]),
-        }
-    }
-
-    /// Writes the latency histogram families into a Prometheus exposition
-    /// document (all values in seconds).
-    pub(crate) fn write_prometheus(&self, w: &mut PromWriter) {
-        w.header(
-            "soda_query_duration_seconds",
-            "End-to-end query latency, submission to completion (cache hits included).",
-            MetricKind::Histogram,
-        );
-        w.histogram("soda_query_duration_seconds", &[], &self.e2e);
-        w.header(
-            "soda_queue_wait_seconds",
-            "Time executed jobs waited in the queue before a worker picked them up.",
-            MetricKind::Histogram,
-        );
-        w.histogram("soda_queue_wait_seconds", &[], &self.queue_wait);
-        w.header(
-            "soda_execution_duration_seconds",
-            "Pipeline execution time of executed jobs (dequeue to completion).",
-            MetricKind::Histogram,
-        );
-        w.histogram("soda_execution_duration_seconds", &[], &self.execution);
-        w.header(
-            "soda_stage_duration_seconds",
-            "Per-stage pipeline latency of executed jobs.",
-            MetricKind::Histogram,
-        );
-        for (hist, stage) in self.stages.iter().zip(names::STAGES) {
-            w.histogram(
-                "soda_stage_duration_seconds",
-                &[("stage", stage.to_string())],
-                hist,
-            );
+            lookup,
+            rank,
+            tables,
+            filters,
+            sqlgen,
         }
     }
 }
 
-/// The five stage durations of one execution, in [`names::STAGES`] order.
-fn stage_durations(t: &StepTimings) -> [Duration; 5] {
-    [t.lookup, t.rank, t.tables, t.filters, t.sql]
+/// Everything one scrape reads, gathered once so that every family of a
+/// document describes the same instant.
+pub(crate) struct Scrape {
+    /// The snapshot [`QueryService::metrics`](crate::QueryService::metrics)
+    /// returns.
+    pub(crate) metrics: ServiceMetrics,
+    /// End-to-end latency merged over every tenant.
+    pub(crate) e2e: LogHistogram,
+    /// Each tenant's end-to-end latency, in [`ServiceMetrics::tenants`]
+    /// order.
+    pub(crate) tenant_e2e: Vec<LogHistogram>,
+    /// The executed-job distributions.
+    pub(crate) latency: LatencyRecorder,
+    /// Every evaluated burn alert with its objective's target; `None` when
+    /// no SLO is declared.
+    pub(crate) slo: Option<Vec<SloSample>>,
+}
+
+/// One `(tenant, objective)` burn alert with the objective's target.
+pub(crate) struct SloSample {
+    pub(crate) alert: BurnAlert,
+    pub(crate) target: f64,
+}
+
+/// A sample value: counters and exact gauges print as integers.
+enum Num {
+    Int(u64),
+    Float(f64),
+}
+
+/// A family's label scope together with the accessor that reads its
+/// samples out of one [`Scrape`].
+enum Series {
+    /// One unlabelled sample.
+    Service(fn(&ServiceMetrics) -> Num),
+    /// One sample per shard of the live snapshot, labelled `shard`.
+    Shard(fn(&ShardStats) -> Vec<u64>),
+    /// One sample per hosted tenant, labelled `tenant`.
+    Tenant(fn(&TenantMetrics) -> Num),
+    /// One sample per `(tenant, objective)`, labelled `tenant` and
+    /// `objective`.
+    Objective(fn(&SloSample) -> Num),
+    /// One unlabelled histogram.
+    Histogram(fn(&Scrape) -> &LogHistogram),
+    /// One histogram per pipeline stage, labelled `stage`.
+    Stage(fn(&Scrape) -> &[LogHistogram; 5]),
+    /// One histogram per hosted tenant, labelled `tenant`.
+    TenantHistogram(fn(&Scrape) -> &[LogHistogram]),
+}
+
+/// When a family is part of the document at all.
+enum Presence {
+    Always,
+    /// Only on a durable service.
+    Durable,
+    /// Only when an SLO is declared.
+    SloDeclared,
+}
+
+/// One exported metric family.
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    kind: MetricKind,
+    presence: Presence,
+    series: Series,
+}
+
+const fn counter(name: &'static str, help: &'static str, series: Series) -> Family {
+    family(name, help, MetricKind::Counter, series)
+}
+
+const fn gauge(name: &'static str, help: &'static str, series: Series) -> Family {
+    family(name, help, MetricKind::Gauge, series)
+}
+
+const fn histogram(name: &'static str, help: &'static str, series: Series) -> Family {
+    family(name, help, MetricKind::Histogram, series)
+}
+
+const fn family(
+    name: &'static str,
+    help: &'static str,
+    kind: MetricKind,
+    series: Series,
+) -> Family {
+    Family {
+        name,
+        help,
+        kind,
+        presence: Presence::Always,
+        series,
+    }
+}
+
+const fn durable(family: Family) -> Family {
+    Family {
+        presence: Presence::Durable,
+        ..family
+    }
+}
+
+const fn slo_declared(family: Family) -> Family {
+    Family {
+        presence: Presence::SloDeclared,
+        ..family
+    }
+}
+
+impl Family {
+    fn present(&self, scrape: &Scrape) -> bool {
+        match self.presence {
+            Presence::Always => true,
+            Presence::Durable => scrape.metrics.durability.enabled,
+            Presence::SloDeclared => scrape.slo.is_some(),
+        }
+    }
+
+    fn write_samples(&self, scrape: &Scrape, w: &mut PromWriter) {
+        let name = self.name;
+        let m = &scrape.metrics;
+        match self.series {
+            Series::Service(read) => sample(w, name, &[], read(m)),
+            Series::Shard(read) => {
+                for (shard, value) in read(&m.shards).into_iter().enumerate() {
+                    sample(w, name, &[("shard", shard.to_string())], Num::Int(value));
+                }
+            }
+            Series::Tenant(read) => {
+                for t in &m.tenants {
+                    sample(w, name, &[("tenant", t.tenant.clone())], read(t));
+                }
+            }
+            Series::Objective(read) => {
+                for s in scrape.slo.iter().flatten() {
+                    let labels = [
+                        ("tenant", s.alert.tenant.clone()),
+                        ("objective", s.alert.objective.to_string()),
+                    ];
+                    sample(w, name, &labels, read(s));
+                }
+            }
+            Series::Histogram(read) => w.histogram(name, &[], read(scrape)),
+            Series::Stage(read) => {
+                for (hist, stage) in read(scrape).iter().zip(names::STAGES) {
+                    w.histogram(name, &[("stage", stage.to_string())], hist);
+                }
+            }
+            Series::TenantHistogram(read) => {
+                for (t, hist) in m.tenants.iter().zip(read(scrape)) {
+                    w.histogram(name, &[("tenant", t.tenant.clone())], hist);
+                }
+            }
+        }
+    }
+}
+
+fn sample(w: &mut PromWriter, name: &str, labels: &[(&str, String)], value: Num) {
+    match value {
+        Num::Int(v) => w.int_value(name, labels, v),
+        Num::Float(v) => w.value(name, labels, v),
+    }
+}
+
+fn widen(values: &[usize]) -> Vec<u64> {
+    values.iter().map(|&v| v as u64).collect()
+}
+
+use Num::{Float, Int};
+use Series::{Histogram, Objective, Service, Shard, Stage, Tenant, TenantHistogram};
+
+/// Every exported metric family, in exposition order.
+const FAMILIES: &[Family] = &[
+    gauge(
+        "soda_uptime_seconds",
+        "Time since the service started.",
+        Service(|m| Float(m.uptime.as_secs_f64())),
+    ),
+    counter(
+        "soda_queries_completed_total",
+        "Queries answered (cache hits included).",
+        Service(|m| Int(m.completed)),
+    ),
+    counter(
+        "soda_pipeline_executions_total",
+        "Full pipeline executions (cache misses actually computed).",
+        Service(|m| Int(m.pipeline_executions)),
+    ),
+    counter(
+        "soda_coalesced_total",
+        "Submissions that joined an identical in-flight computation.",
+        Service(|m| Int(m.coalesced)),
+    ),
+    counter(
+        "soda_slow_queries_total",
+        "Queries whose end-to-end latency reached the slow-query threshold.",
+        Service(|m| Int(m.slow_queries)),
+    ),
+    gauge(
+        "soda_queue_depth",
+        "Jobs currently waiting in the queue.",
+        Service(|m| Int(m.queue_depth as u64)),
+    ),
+    gauge(
+        "soda_workers",
+        "Size of the worker pool.",
+        Service(|m| Int(m.workers as u64)),
+    ),
+    gauge(
+        "soda_generation",
+        "Generation of the snapshot currently being served.",
+        Service(|m| Int(m.generation)),
+    ),
+    counter(
+        "soda_reloads_total",
+        "Snapshot swaps performed (full reloads and per-shard rebuilds).",
+        Service(|m| Int(m.reloads)),
+    ),
+    counter(
+        "soda_cache_hits_total",
+        "Interpretation-cache hits.",
+        Service(|m| Int(m.cache.hits)),
+    ),
+    counter(
+        "soda_cache_misses_total",
+        "Interpretation-cache misses.",
+        Service(|m| Int(m.cache.misses)),
+    ),
+    counter(
+        "soda_cache_evicted_total",
+        "Pages evicted by LRU capacity pressure.",
+        Service(|m| Int(m.cache.evictions)),
+    ),
+    counter(
+        "soda_cache_purged_total",
+        "Pages purged by snapshot swaps.",
+        Service(|m| Int(m.cache.purged)),
+    ),
+    counter(
+        "soda_cache_retained_total",
+        "Pages carried across data-only swaps by retention proofs.",
+        Service(|m| Int(m.cache.retained)),
+    ),
+    gauge(
+        "soda_cache_pages",
+        "Result pages currently cached.",
+        Service(|m| Int(m.cache.len as u64)),
+    ),
+    counter(
+        "soda_ingest_feeds_total",
+        "Change feeds absorbed by streaming ingestion.",
+        Service(|m| Int(m.ingest.ingests)),
+    ),
+    counter(
+        "soda_ingest_events_total",
+        "Row events those feeds carried.",
+        Service(|m| Int(m.ingest.events)),
+    ),
+    counter(
+        "soda_ingest_rows_total",
+        "Rows those events carried.",
+        Service(|m| Int(m.ingest.rows)),
+    ),
+    counter(
+        "soda_ingest_rows_appended_total",
+        "Rows appended to copy-on-write table tails by ingestion.",
+        Service(|m| Int(m.ingest.rows_appended)),
+    ),
+    counter(
+        "soda_ingest_tables_copied_total",
+        "Tables the copy-on-write snapshot derives actually copied.",
+        Service(|m| Int(m.ingest.tables_copied)),
+    ),
+    counter(
+        "soda_ingest_tables_shared_total",
+        "Tables structurally shared (untouched) across those derives.",
+        Service(|m| Int(m.ingest.tables_shared)),
+    ),
+    counter(
+        "soda_compactions_total",
+        "Side-log compactions performed.",
+        Service(|m| Int(m.ingest.compactions)),
+    ),
+    counter(
+        "soda_compacted_shards_total",
+        "Side logs folded into rebuilt partitions.",
+        Service(|m| Int(m.ingest.compacted_shards)),
+    ),
+    counter(
+        "soda_shard_probes_total",
+        "Inverted-index probes served, per shard of the live snapshot.",
+        Shard(|s| s.probes.clone()),
+    ),
+    gauge(
+        "soda_shard_postings",
+        "Frozen index postings, per shard of the live snapshot.",
+        Shard(|s| widen(&s.index_postings)),
+    ),
+    gauge(
+        "soda_shard_log_postings",
+        "Ingestion side-log postings awaiting compaction, per shard.",
+        Shard(|s| widen(&s.log_postings)),
+    ),
+    durable(gauge(
+        "soda_journal_bytes",
+        "Current size of the feed journal.",
+        Service(|m| Int(m.durability.journal_bytes)),
+    )),
+    durable(counter(
+        "soda_journal_appends_total",
+        "Change feeds appended to the journal since this instance started.",
+        Service(|m| Int(m.durability.journal_appends)),
+    )),
+    durable(counter(
+        "soda_checkpoints_total",
+        "Checkpoints written (each truncates the journal).",
+        Service(|m| Int(m.durability.checkpoints)),
+    )),
+    durable(counter(
+        "soda_checkpoint_failures_total",
+        "Checkpoint attempts that failed (journal left replayable).",
+        Service(|m| Int(m.durability.checkpoint_failures)),
+    )),
+    counter(
+        "soda_tenant_queries_completed_total",
+        "Queries answered, per tenant.",
+        Tenant(|t| Int(t.completed)),
+    ),
+    gauge(
+        "soda_tenant_qps",
+        "Answered queries per second of uptime, per tenant.",
+        Tenant(|t| Float(t.qps)),
+    ),
+    counter(
+        "soda_tenant_warm_hits_total",
+        "Submissions answered from the cache at submission time, per tenant.",
+        Tenant(|t| Int(t.warm_hits)),
+    ),
+    counter(
+        "soda_tenant_pipeline_executions_total",
+        "Full pipeline executions, per tenant.",
+        Tenant(|t| Int(t.executions)),
+    ),
+    counter(
+        "soda_tenant_admission_waits_total",
+        "Submissions that blocked in admission control, per tenant.",
+        Tenant(|t| Int(t.admission_waits)),
+    ),
+    counter(
+        "soda_tenant_slow_queries_total",
+        "Queries whose end-to-end latency reached the slow-query threshold, per tenant.",
+        Tenant(|t| Int(t.slow_queries)),
+    ),
+    counter(
+        "soda_tenant_sampled_traces_total",
+        "Span trees retained by the adaptive trace sampler, per tenant.",
+        Tenant(|t| Int(t.sampled_traces)),
+    ),
+    gauge(
+        "soda_tenant_queue_depth",
+        "Jobs currently waiting in the tenant's queue lane.",
+        Tenant(|t| Int(t.queue_depth as u64)),
+    ),
+    gauge(
+        "soda_tenant_generation",
+        "Generation of the snapshot the tenant currently serves.",
+        Tenant(|t| Int(t.generation)),
+    ),
+    counter(
+        "soda_tenant_reloads_total",
+        "Snapshot swaps performed, per tenant.",
+        Tenant(|t| Int(t.reloads)),
+    ),
+    counter(
+        "soda_tenant_ingest_feeds_total",
+        "Change feeds absorbed, per tenant.",
+        Tenant(|t| Int(t.ingest_feeds)),
+    ),
+    counter(
+        "soda_tenant_compactions_total",
+        "Side-log compactions performed, per tenant.",
+        Tenant(|t| Int(t.compactions)),
+    ),
+    // Shadow tenants host no journal and report zeros here.
+    durable(gauge(
+        "soda_tenant_journal_bytes",
+        "Current size of the tenant's feed journal in bytes.",
+        Tenant(|t| Int(t.durability.journal_bytes)),
+    )),
+    durable(counter(
+        "soda_tenant_journal_appends_total",
+        "Change feeds appended to the tenant's journal.",
+        Tenant(|t| Int(t.durability.journal_appends)),
+    )),
+    durable(counter(
+        "soda_tenant_checkpoints_total",
+        "Checkpoints written to the tenant's journal.",
+        Tenant(|t| Int(t.durability.checkpoints)),
+    )),
+    durable(counter(
+        "soda_tenant_replayed_feeds_total",
+        "Journaled feeds re-absorbed when the tenant was recovered.",
+        Tenant(|t| Int(t.durability.replayed_feeds)),
+    )),
+    slo_declared(gauge(
+        "soda_slo_target",
+        "Declared objective target fraction, per tenant and objective.",
+        Objective(|s| Float(s.target)),
+    )),
+    slo_declared(gauge(
+        "soda_slo_fast_burn_rate",
+        "Error-budget burn rate over the fast window, per tenant and objective.",
+        Objective(|s| Float(s.alert.fast_burn)),
+    )),
+    slo_declared(gauge(
+        "soda_slo_slow_burn_rate",
+        "Error-budget burn rate over the slow window, per tenant and objective.",
+        Objective(|s| Float(s.alert.slow_burn)),
+    )),
+    slo_declared(gauge(
+        "soda_slo_alert_state",
+        "Multi-window burn-alert state (0 = ok, 1 = pending, 2 = firing).",
+        Objective(|s| Int(s.alert.state.code())),
+    )),
+    histogram(
+        "soda_query_duration_seconds",
+        "End-to-end query latency, submission to completion (cache hits included).",
+        Histogram(|s| &s.e2e),
+    ),
+    histogram(
+        "soda_queue_wait_seconds",
+        "Time executed jobs waited in the queue before a worker picked them up.",
+        Histogram(|s| &s.latency.queue_wait),
+    ),
+    histogram(
+        "soda_execution_duration_seconds",
+        "Pipeline execution time of executed jobs (dequeue to completion).",
+        Histogram(|s| &s.latency.execution),
+    ),
+    histogram(
+        "soda_stage_duration_seconds",
+        "Per-stage pipeline latency of executed jobs.",
+        Stage(|s| &s.latency.stages),
+    ),
+    histogram(
+        "soda_tenant_query_duration_seconds",
+        "End-to-end query latency, per tenant.",
+        TenantHistogram(|s| &s.tenant_e2e),
+    ),
+];
+
+/// Renders one scrape as a Prometheus text-exposition document: every
+/// present family of [`FAMILIES`], in table order.
+pub(crate) fn render(scrape: &Scrape) -> String {
+    let mut w = PromWriter::new();
+    for family in FAMILIES.iter().filter(|f| f.present(scrape)) {
+        w.header(family.name, family.help, family.kind);
+        family.write_samples(scrape, &mut w);
+    }
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn summary_of(micros: &[u64]) -> LatencySummary {
+        let mut hist = LogHistogram::new();
+        for &us in micros {
+            hist.record(Duration::from_micros(us));
+        }
+        LatencySummary::of(&hist)
+    }
+
     #[test]
     fn empty_recorder_reports_zeros() {
         let r = LatencyRecorder::new();
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.summary(), LatencySummary::default());
-        assert_eq!(r.queue_wait_summary(), LatencySummary::default());
+        assert_eq!(LatencySummary::of(&r.queue_wait), LatencySummary::default());
+        assert_eq!(LatencySummary::of(&r.execution), LatencySummary::default());
         assert_eq!(r.stage_summaries(), StageLatencies::default());
+        assert_eq!(
+            LatencySummary::of(&LogHistogram::new()),
+            LatencySummary::default()
+        );
     }
 
     #[test]
     fn summary_tracks_min_mean_max() {
-        let mut r = LatencyRecorder::new();
-        for ms in [10u64, 20, 30] {
-            r.record_hit(Duration::from_millis(ms));
-        }
-        let s = r.summary();
+        let s = summary_of(&[10_000, 20_000, 30_000]);
         // The extremes and the mean are exact; the quantiles are
         // histogram-backed with a bounded over-report (≤ value/32 + 1ns).
         assert_eq!(s.min, Duration::from_millis(10));
@@ -417,23 +815,10 @@ mod tests {
 
     #[test]
     fn quantiles_are_monotone_and_within_extremes() {
-        let mut r = LatencyRecorder::new();
-        for us in [3u64, 5000, 70, 70, 900, 12, 40_000, 7] {
-            r.record_hit(Duration::from_micros(us));
-        }
-        let s = r.summary();
+        let s = summary_of(&[3, 5000, 70, 70, 900, 12, 40_000, 7]);
         assert!(s.min <= s.p50);
         assert!(s.p50 <= s.p95);
         assert!(s.p95 <= s.max);
-    }
-
-    #[test]
-    fn hits_do_not_touch_the_executed_distributions() {
-        let mut r = LatencyRecorder::new();
-        r.record_hit(Duration::from_millis(1));
-        assert_eq!(r.count(), 1);
-        assert_eq!(r.queue_wait_summary(), LatencySummary::default());
-        assert_eq!(r.execution_summary(), LatencySummary::default());
     }
 
     #[test]
@@ -447,35 +832,41 @@ mod tests {
             sql: Duration::from_millis(2),
         };
         r.record_executed(
-            Duration::from_millis(15),
             Duration::from_millis(5),
             Duration::from_millis(10),
             Some(&timings),
         );
-        assert_eq!(r.count(), 1);
-        assert_eq!(r.queue_wait_summary().max, Duration::from_millis(5));
-        assert_eq!(r.execution_summary().max, Duration::from_millis(10));
+        assert_eq!(r.queue_wait.max(), Duration::from_millis(5));
+        assert_eq!(r.execution.max(), Duration::from_millis(10));
         let stages = r.stage_summaries();
         assert_eq!(stages.lookup.max, Duration::from_millis(4));
         assert_eq!(stages.sqlgen.max, Duration::from_millis(2));
     }
 
     #[test]
-    fn prometheus_rendering_validates() {
-        let mut r = LatencyRecorder::new();
-        r.record_hit(Duration::from_millis(1));
-        r.record_executed(
-            Duration::from_millis(3),
-            Duration::from_millis(1),
-            Duration::from_millis(2),
-            Some(&StepTimings::default()),
-        );
-        let mut w = PromWriter::new();
-        r.write_prometheus(&mut w);
-        let text = w.finish();
-        soda_trace::prom::validate(&text).expect("latency families must validate");
-        assert!(text.contains("soda_stage_duration_seconds_count{stage=\"lookup\"} 1"));
-        assert!(text.contains("soda_query_duration_seconds_count 2"));
-        assert!(text.contains("soda_queue_wait_seconds_count 1"));
+    fn the_family_table_is_well_formed() {
+        let mut seen = std::collections::HashSet::new();
+        for family in FAMILIES {
+            assert!(seen.insert(family.name), "duplicate {}", family.name);
+            assert!(family.name.starts_with("soda_"), "{}", family.name);
+            assert!(!family.help.is_empty(), "{}", family.name);
+            let histogram_series = matches!(
+                family.series,
+                Series::Histogram(_) | Series::Stage(_) | Series::TenantHistogram(_)
+            );
+            assert_eq!(
+                family.kind == MetricKind::Histogram,
+                histogram_series,
+                "{}: kind and series disagree",
+                family.name
+            );
+            assert_eq!(
+                family.kind == MetricKind::Counter,
+                family.name.ends_with("_total"),
+                "{}: counters and only counters end in _total",
+                family.name
+            );
+        }
+        assert_eq!(FAMILIES.len(), 55);
     }
 }

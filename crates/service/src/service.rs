@@ -131,7 +131,7 @@ use soda_core::{
 use soda_journal::frame::{read_frame_file, write_frame_file};
 use soda_journal::{journal_path, tenant_journal_dir, Checkpoint, FeedJournal, FsyncPolicy};
 use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
-use soda_trace::prom::{MetricKind, PromWriter};
+use soda_trace::hist::LogHistogram;
 use soda_trace::{
     names, BoundedLog, CollectingSink, HeadDecision, NoopSink, OpEvent, QueryTrace, SampleReason,
     Sampler, SpanId, TraceId, TraceSink, TraceValue,
@@ -139,8 +139,8 @@ use soda_trace::{
 
 use crate::cache::{CacheKey, LruCache};
 use crate::metrics::{
-    DurabilityMetrics, IngestMetrics, LatencyRecorder, LatencySummary, ServiceMetrics,
-    TenantMetrics,
+    self, DurabilityMetrics, IngestMetrics, LatencyRecorder, LatencySummary, Scrape,
+    ServiceMetrics, SloSample, TenantMetrics,
 };
 use crate::slo::{
     alert_state, availability_burn_rate, latency_burn_rate, AlertState, BurnAlert, SloConfig,
@@ -896,23 +896,19 @@ struct StoreState {
     /// that enqueues the job and removed by the worker at completion (or by
     /// the submitter itself when shutdown aborts the enqueue).
     pending: HashMap<CacheKey, Vec<Waiter>>,
-    /// Full pipeline executions performed by the workers.
-    pipeline_executions: u64,
     /// Submissions that attached to an in-flight job instead of enqueuing.
     coalesced: u64,
 }
 
 struct Shared {
     /// Every hosted tenant — the default tenant (the boot snapshot) plus
-    /// whatever [`QueryService::add_tenant`] registered.  The lifetime
-    /// counters below aggregate across tenants; the per-tenant split lives
-    /// on each [`TenantState`].
+    /// whatever [`QueryService::add_tenant`] registered.  A figure kept per
+    /// tenant (queries, executions, swaps, feeds, compactions, slow
+    /// queries) lives only on its [`TenantState`]; the service-wide value
+    /// is the sum over tenants.  The counters below exist only
+    /// service-wide.
     tenants: TenantRegistry,
-    /// Snapshot swaps performed (full reloads + per-shard rebuilds), all
-    /// tenants.
-    reloads: AtomicU64,
     /// Streaming-ingestion lifetime counters, all tenants.
-    ingests: AtomicU64,
     ingest_events: AtomicU64,
     ingest_rows: AtomicU64,
     /// Copy-on-write sharing counters: rows appended to mutable tails,
@@ -920,7 +916,6 @@ struct Shared {
     ingest_rows_appended: AtomicU64,
     ingest_tables_copied: AtomicU64,
     ingest_tables_shared: AtomicU64,
-    compactions: AtomicU64,
     compacted_shards: AtomicU64,
     /// Shutdown flag + wakeup signal of the background compaction worker
     /// (present even without one; ingest nudges are then no-ops).
@@ -936,8 +931,6 @@ struct Shared {
     /// End-to-end latency past which a worker captures the full span tree
     /// (`None` — the default — disables tracing on the worker path).
     slow_query_threshold: Option<Duration>,
-    /// Queries that crossed the threshold (lifetime, evictions included).
-    slow_queries: AtomicU64,
     /// The captured slow queries, newest-`slow_query_log` retained.
     slow_log: Mutex<BoundedLog<SlowQuery>>,
     /// Operational history: swaps, ingests, compactions, checkpoints,
@@ -965,20 +958,10 @@ struct Shared {
 }
 
 impl Shared {
-    /// Records a query answered without executing the pipeline (cache hit
-    /// or coalesced waiter).
-    fn record_hit(&self, submitted: Instant) {
-        self.latency
-            .lock()
-            .expect("latency recorder poisoned")
-            .record_hit(submitted.elapsed());
-    }
-
     /// Records an executed query with its queue-wait / execution split and
     /// the per-stage timings.
     fn record_executed(
         &self,
-        e2e: Duration,
         queue_wait: Duration,
         execution: Duration,
         timings: Option<&StepTimings>,
@@ -986,7 +969,7 @@ impl Shared {
         self.latency
             .lock()
             .expect("latency recorder poisoned")
-            .record_executed(e2e, queue_wait, execution, timings);
+            .record_executed(queue_wait, execution, timings);
     }
 
     /// Appends one operational event (stamped with its sequence number, the
@@ -1016,9 +999,9 @@ impl Shared {
     }
 
     /// Retains one sampled trace: pushes it into the tenant's bounded ring
-    /// and attaches its trace id to the end-to-end latency histograms
-    /// (service-wide and per-tenant) as the exemplar of the bucket this
-    /// query landed in.  Locks are taken one at a time, never nested.
+    /// and attaches its trace id to the tenant's end-to-end latency
+    /// histogram as the exemplar of the bucket this query landed in.  Locks
+    /// are taken one at a time, never nested.
     fn capture_sampled(
         &self,
         tenant: &TenantState,
@@ -1029,10 +1012,6 @@ impl Shared {
         trace: QueryTrace,
     ) {
         let id = trace_id.to_string();
-        self.latency
-            .lock()
-            .expect("latency poisoned")
-            .annotate_exemplar(e2e, &id);
         tenant
             .e2e
             .lock()
@@ -1146,14 +1125,11 @@ impl QueryService {
         ));
         let shared = Arc::new(Shared {
             tenants: TenantRegistry::new(default),
-            reloads: AtomicU64::new(0),
-            ingests: AtomicU64::new(0),
             ingest_events: AtomicU64::new(0),
             ingest_rows: AtomicU64::new(0),
             ingest_rows_appended: AtomicU64::new(0),
             ingest_tables_copied: AtomicU64::new(0),
             ingest_tables_shared: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
             compacted_shards: AtomicU64::new(0),
             compactor_shutdown: Mutex::new(false),
             compactor_wake: Condvar::new(),
@@ -1169,13 +1145,11 @@ impl QueryService {
             store: Mutex::new(StoreState {
                 cache: LruCache::new(config.cache_capacity),
                 pending: HashMap::new(),
-                pipeline_executions: 0,
                 coalesced: 0,
             }),
             latency: Mutex::new(LatencyRecorder::new()),
             started: Instant::now(),
             slow_query_threshold: config.slow_query_threshold,
-            slow_queries: AtomicU64::new(0),
             slow_log: Mutex::new(BoundedLog::new(config.slow_query_log)),
             events: Mutex::new(BoundedLog::new(config.event_log)),
             durability_config,
@@ -1519,9 +1493,9 @@ impl QueryService {
 
         // One critical section decides the submission's fate: cache hit,
         // coalesce onto an in-flight job, or become the job that computes.
-        // Bind the outcome before touching the latency lock — holding the
-        // store guard while recording would nest locks that `metrics()`
-        // takes in another order.
+        // Bind the outcome before recording anything — holding the store
+        // guard while taking the tenant's latency lock would nest locks
+        // that `metrics()` takes one at a time.
         enum Probe {
             Hit(ResultPage),
             Coalesced(mpsc::Receiver<WireResult>),
@@ -1543,7 +1517,6 @@ impl QueryService {
         };
         match probe {
             Probe::Hit(page) => {
-                self.shared.record_hit(submitted);
                 tenant.warm_hits.fetch_add(1, Ordering::Relaxed);
                 let e2e = submitted.elapsed();
                 tenant.record_response(e2e);
@@ -1654,7 +1627,6 @@ impl QueryService {
             .cache
             .get(&key);
         if let Some(entry) = cached {
-            self.shared.record_hit(submitted);
             tenant.warm_hits.fetch_add(1, Ordering::Relaxed);
             let e2e = submitted.elapsed();
             tenant.record_response(e2e);
@@ -1676,14 +1648,9 @@ impl QueryService {
             )
             .map_err(ServiceError::Engine)?;
         let e2e = submitted.elapsed();
-        self.shared
-            .store
-            .lock()
-            .expect("store poisoned")
-            .pipeline_executions += 1;
         tenant.executions.fetch_add(1, Ordering::Relaxed);
         self.shared
-            .record_executed(e2e, Duration::ZERO, e2e, Some(&timings));
+            .record_executed(Duration::ZERO, e2e, Some(&timings));
         tenant.record_response(e2e);
         self.shared.record_slo(tenant, e2e, true);
         Ok(QueryResponse {
@@ -1695,644 +1662,137 @@ impl QueryService {
     /// A point-in-time snapshot of the service's health, the per-tenant
     /// fairness split ([`ServiceMetrics::tenants`]) included.
     pub fn metrics(&self) -> ServiceMetrics {
-        // One lock at a time, never nested: query() takes store then
-        // latency, so holding latency while locking store here would invert
-        // the order and risk a deadlock.
-        let (completed, latency, queue_wait, execution, stages) = {
-            let recorder = self.shared.latency.lock().expect("latency poisoned");
-            (
-                recorder.count(),
-                recorder.summary(),
-                recorder.queue_wait_summary(),
-                recorder.execution_summary(),
-                recorder.stage_summaries(),
-            )
-        };
-        let uptime = self.shared.started.elapsed();
-        let uptime_secs = uptime.as_secs_f64();
-        let qps = if uptime_secs > 0.0 {
-            completed as f64 / uptime_secs
-        } else {
-            0.0
-        };
-        let (cache, pipeline_executions, coalesced) = {
-            let store = self.shared.store.lock().expect("store poisoned");
-            (
-                store.cache.stats(),
-                store.pipeline_executions,
-                store.coalesced,
-            )
-        };
-        let (queue_depth, lane_depths) = {
-            let state = self.shared.queue.lock().expect("queue poisoned");
-            (state.total, state.lane_depths())
-        };
-        let tenants = self
-            .shared
-            .tenants
-            .all()
-            .iter()
-            .map(|t| {
-                let (completed, latency) = {
-                    let hist = t.e2e.lock().expect("tenant latency recorder poisoned");
-                    (hist.count(), LatencySummary::of(&hist))
-                };
-                TenantMetrics {
-                    tenant: t.id.as_str().to_string(),
-                    completed,
-                    qps: if uptime_secs > 0.0 {
-                        completed as f64 / uptime_secs
-                    } else {
-                        0.0
-                    },
-                    latency,
-                    warm_hits: t.warm_hits.load(Ordering::Relaxed),
-                    executions: t.executions.load(Ordering::Relaxed),
-                    admission_waits: t.admission_waits.load(Ordering::Relaxed),
-                    slow_queries: t.slow_queries.load(Ordering::Relaxed),
-                    sampled_traces: t.sampled_total.load(Ordering::Relaxed),
-                    queue_depth: lane_depths.get(&t.id.fingerprint()).copied().unwrap_or(0),
-                    generation: t.handle.generation(),
-                    reloads: t.reloads.load(Ordering::Relaxed),
-                    ingest_feeds: t.ingest_feeds.load(Ordering::Relaxed),
-                    compactions: t.compactions.load(Ordering::Relaxed),
-                    durability: durability_metrics(&t.durability),
-                }
-            })
-            .collect();
-        // Re-sampled from the live handle on every call (not captured at
-        // construction), so the per-shard gauges and the generation always
-        // describe the snapshot that is serving *now*, including after a
-        // swap.  The top-level figures describe the default tenant; the
-        // per-tenant split is in `tenants`.
-        let default = self.shared.tenants.default_tenant();
-        let snapshot = default.handle.load();
-        ServiceMetrics {
-            uptime,
-            completed,
-            qps,
-            latency,
-            queue_wait,
-            execution,
-            stages,
-            cache,
-            pipeline_executions,
-            coalesced,
-            slow_queries: self.shared.slow_queries.load(Ordering::Relaxed),
-            queue_depth,
-            workers: self.workers.len(),
-            generation: snapshot.generation(),
-            reloads: self.shared.reloads.load(Ordering::Relaxed),
-            ingest: IngestMetrics {
-                ingests: self.shared.ingests.load(Ordering::Relaxed),
-                events: self.shared.ingest_events.load(Ordering::Relaxed),
-                rows: self.shared.ingest_rows.load(Ordering::Relaxed),
-                rows_appended: self.shared.ingest_rows_appended.load(Ordering::Relaxed),
-                tables_copied: self.shared.ingest_tables_copied.load(Ordering::Relaxed),
-                tables_shared: self.shared.ingest_tables_shared.load(Ordering::Relaxed),
-                compactions: self.shared.compactions.load(Ordering::Relaxed),
-                compacted_shards: self.shared.compacted_shards.load(Ordering::Relaxed),
-            },
-            shards: snapshot.shard_stats(),
-            durability: durability_metrics(&default.durability),
-            tenants,
-        }
+        self.scrape().metrics
     }
 
     /// Renders the service's health as a Prometheus text-exposition
     /// document (format 0.0.4): the lifetime counters and point-in-time
     /// gauges of [`metrics`](Self::metrics), the per-tenant fairness
     /// families (`soda_tenant_*`, one sample per hosted tenant, labelled
-    /// `tenant="<name>"`) and the latency **histograms** (end-to-end, queue
-    /// wait, execution, per-stage and per-tenant, all in seconds) — the
+    /// `tenant="<name>"`), the SLO burn-rate families when an SLO is
+    /// declared, and the latency **histograms** (end-to-end, queue wait,
+    /// execution, per-stage and per-tenant, all in seconds) — the
     /// full-fidelity surface a scrape-based monitoring stack ingests.
     ///
     /// The document always validates against
     /// [`soda_trace::prom::validate`]; the metric names and label sets are a
-    /// stable interface, pinned by a golden test.
+    /// stable interface, pinned by a golden test.  The SLO families are
+    /// read-only: the alert-transition ledger is only advanced by
+    /// [`alerts`](Self::alerts).
     pub fn metrics_text(&self) -> String {
-        let m = self.metrics();
-        let mut w = PromWriter::new();
+        let mut scrape = self.scrape();
+        scrape.slo = self.shared.config.slo.as_ref().map(|slo| {
+            self.evaluate_slo()
+                .into_iter()
+                .map(|(_, alert)| SloSample {
+                    target: match alert.objective {
+                        "latency" => slo.latency_target,
+                        _ => slo.availability_target,
+                    },
+                    alert,
+                })
+                .collect()
+        });
+        metrics::render(&scrape)
+    }
 
-        w.header(
-            "soda_uptime_seconds",
-            "Time since the service started.",
-            MetricKind::Gauge,
-        );
-        w.value("soda_uptime_seconds", &[], m.uptime.as_secs_f64());
-        w.header(
-            "soda_queries_completed_total",
-            "Queries answered (cache hits included).",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_queries_completed_total", &[], m.completed);
-        w.header(
-            "soda_pipeline_executions_total",
-            "Full pipeline executions (cache misses actually computed).",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_pipeline_executions_total", &[], m.pipeline_executions);
-        w.header(
-            "soda_coalesced_total",
-            "Submissions that joined an identical in-flight computation.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_coalesced_total", &[], m.coalesced);
-        w.header(
-            "soda_slow_queries_total",
-            "Queries whose end-to-end latency reached the slow-query threshold.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_slow_queries_total", &[], m.slow_queries);
-        w.header(
-            "soda_queue_depth",
-            "Jobs currently waiting in the queue.",
-            MetricKind::Gauge,
-        );
-        w.int_value("soda_queue_depth", &[], m.queue_depth as u64);
-        w.header(
-            "soda_workers",
-            "Size of the worker pool.",
-            MetricKind::Gauge,
-        );
-        w.int_value("soda_workers", &[], m.workers as u64);
-        w.header(
-            "soda_generation",
-            "Generation of the snapshot currently being served.",
-            MetricKind::Gauge,
-        );
-        w.int_value("soda_generation", &[], m.generation);
-        w.header(
-            "soda_reloads_total",
-            "Snapshot swaps performed (full reloads and per-shard rebuilds).",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_reloads_total", &[], m.reloads);
-
-        w.header(
-            "soda_cache_hits_total",
-            "Interpretation-cache hits.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_cache_hits_total", &[], m.cache.hits);
-        w.header(
-            "soda_cache_misses_total",
-            "Interpretation-cache misses.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_cache_misses_total", &[], m.cache.misses);
-        w.header(
-            "soda_cache_evicted_total",
-            "Pages evicted by LRU capacity pressure.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_cache_evicted_total", &[], m.cache.evictions);
-        w.header(
-            "soda_cache_purged_total",
-            "Pages purged by snapshot swaps.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_cache_purged_total", &[], m.cache.purged);
-        w.header(
-            "soda_cache_retained_total",
-            "Pages carried across data-only swaps by retention proofs.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_cache_retained_total", &[], m.cache.retained);
-        w.header(
-            "soda_cache_pages",
-            "Result pages currently cached.",
-            MetricKind::Gauge,
-        );
-        w.int_value("soda_cache_pages", &[], m.cache.len as u64);
-
-        w.header(
-            "soda_ingest_feeds_total",
-            "Change feeds absorbed by streaming ingestion.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_ingest_feeds_total", &[], m.ingest.ingests);
-        w.header(
-            "soda_ingest_events_total",
-            "Row events those feeds carried.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_ingest_events_total", &[], m.ingest.events);
-        w.header(
-            "soda_ingest_rows_total",
-            "Rows those events carried.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_ingest_rows_total", &[], m.ingest.rows);
-        w.header(
-            "soda_ingest_rows_appended_total",
-            "Rows appended to copy-on-write table tails by ingestion.",
-            MetricKind::Counter,
-        );
-        w.int_value(
-            "soda_ingest_rows_appended_total",
-            &[],
-            m.ingest.rows_appended,
-        );
-        w.header(
-            "soda_ingest_tables_copied_total",
-            "Tables the copy-on-write snapshot derives actually copied.",
-            MetricKind::Counter,
-        );
-        w.int_value(
-            "soda_ingest_tables_copied_total",
-            &[],
-            m.ingest.tables_copied,
-        );
-        w.header(
-            "soda_ingest_tables_shared_total",
-            "Tables structurally shared (untouched) across those derives.",
-            MetricKind::Counter,
-        );
-        w.int_value(
-            "soda_ingest_tables_shared_total",
-            &[],
-            m.ingest.tables_shared,
-        );
-        w.header(
-            "soda_compactions_total",
-            "Side-log compactions performed.",
-            MetricKind::Counter,
-        );
-        w.int_value("soda_compactions_total", &[], m.ingest.compactions);
-        w.header(
-            "soda_compacted_shards_total",
-            "Side logs folded into rebuilt partitions.",
-            MetricKind::Counter,
-        );
-        w.int_value(
-            "soda_compacted_shards_total",
-            &[],
-            m.ingest.compacted_shards,
-        );
-
-        w.header(
-            "soda_shard_probes_total",
-            "Inverted-index probes served, per shard of the live snapshot.",
-            MetricKind::Counter,
-        );
-        for (shard, probes) in m.shards.probes.iter().enumerate() {
-            w.int_value(
-                "soda_shard_probes_total",
-                &[("shard", shard.to_string())],
-                *probes,
-            );
-        }
-        w.header(
-            "soda_shard_postings",
-            "Frozen index postings, per shard of the live snapshot.",
-            MetricKind::Gauge,
-        );
-        for (shard, postings) in m.shards.index_postings.iter().enumerate() {
-            w.int_value(
-                "soda_shard_postings",
-                &[("shard", shard.to_string())],
-                *postings as u64,
-            );
-        }
-        w.header(
-            "soda_shard_log_postings",
-            "Ingestion side-log postings awaiting compaction, per shard.",
-            MetricKind::Gauge,
-        );
-        for (shard, postings) in m.shards.log_postings.iter().enumerate() {
-            w.int_value(
-                "soda_shard_log_postings",
-                &[("shard", shard.to_string())],
-                *postings as u64,
-            );
-        }
-
-        if m.durability.enabled {
-            w.header(
-                "soda_journal_bytes",
-                "Current size of the feed journal.",
-                MetricKind::Gauge,
-            );
-            w.int_value("soda_journal_bytes", &[], m.durability.journal_bytes);
-            w.header(
-                "soda_journal_appends_total",
-                "Change feeds appended to the journal since this instance started.",
-                MetricKind::Counter,
-            );
-            w.int_value(
-                "soda_journal_appends_total",
-                &[],
-                m.durability.journal_appends,
-            );
-            w.header(
-                "soda_checkpoints_total",
-                "Checkpoints written (each truncates the journal).",
-                MetricKind::Counter,
-            );
-            w.int_value("soda_checkpoints_total", &[], m.durability.checkpoints);
-            w.header(
-                "soda_checkpoint_failures_total",
-                "Checkpoint attempts that failed (journal left replayable).",
-                MetricKind::Counter,
-            );
-            w.int_value(
-                "soda_checkpoint_failures_total",
-                &[],
-                m.durability.checkpoint_failures,
-            );
-        }
-
-        // The per-tenant fairness split: one sample per hosted tenant,
-        // labelled with the tenant name — how an operator sees which tenant
-        // is flooding, which is starving and whether admission control is
-        // biting.
-        w.header(
-            "soda_tenant_queries_completed_total",
-            "Queries answered, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_queries_completed_total",
-                &[("tenant", t.tenant.clone())],
-                t.completed,
-            );
-        }
-        w.header(
-            "soda_tenant_qps",
-            "Answered queries per second of uptime, per tenant.",
-            MetricKind::Gauge,
-        );
-        for t in &m.tenants {
-            w.value("soda_tenant_qps", &[("tenant", t.tenant.clone())], t.qps);
-        }
-        w.header(
-            "soda_tenant_warm_hits_total",
-            "Submissions answered from the cache at submission time, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_warm_hits_total",
-                &[("tenant", t.tenant.clone())],
-                t.warm_hits,
-            );
-        }
-        w.header(
-            "soda_tenant_pipeline_executions_total",
-            "Full pipeline executions, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_pipeline_executions_total",
-                &[("tenant", t.tenant.clone())],
-                t.executions,
-            );
-        }
-        w.header(
-            "soda_tenant_admission_waits_total",
-            "Submissions that blocked in admission control, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_admission_waits_total",
-                &[("tenant", t.tenant.clone())],
-                t.admission_waits,
-            );
-        }
-        w.header(
-            "soda_tenant_slow_queries_total",
-            "Queries whose end-to-end latency reached the slow-query threshold, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_slow_queries_total",
-                &[("tenant", t.tenant.clone())],
-                t.slow_queries,
-            );
-        }
-        w.header(
-            "soda_tenant_sampled_traces_total",
-            "Span trees retained by the adaptive trace sampler, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_sampled_traces_total",
-                &[("tenant", t.tenant.clone())],
-                t.sampled_traces,
-            );
-        }
-        w.header(
-            "soda_tenant_queue_depth",
-            "Jobs currently waiting in the tenant's queue lane.",
-            MetricKind::Gauge,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_queue_depth",
-                &[("tenant", t.tenant.clone())],
-                t.queue_depth as u64,
-            );
-        }
-        w.header(
-            "soda_tenant_generation",
-            "Generation of the snapshot the tenant currently serves.",
-            MetricKind::Gauge,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_generation",
-                &[("tenant", t.tenant.clone())],
-                t.generation,
-            );
-        }
-        w.header(
-            "soda_tenant_reloads_total",
-            "Snapshot swaps performed, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_reloads_total",
-                &[("tenant", t.tenant.clone())],
-                t.reloads,
-            );
-        }
-        w.header(
-            "soda_tenant_ingest_feeds_total",
-            "Change feeds absorbed, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_ingest_feeds_total",
-                &[("tenant", t.tenant.clone())],
-                t.ingest_feeds,
-            );
-        }
-        w.header(
-            "soda_tenant_compactions_total",
-            "Side-log compactions performed, per tenant.",
-            MetricKind::Counter,
-        );
-        for t in &m.tenants {
-            w.int_value(
-                "soda_tenant_compactions_total",
-                &[("tenant", t.tenant.clone())],
-                t.compactions,
-            );
-        }
-        // Per-tenant journaling is only live on a durable service — like
-        // the service-wide journal families, these are omitted otherwise.
-        // (Shadow tenants host no journal and report zeros.)
-        if m.durability.enabled {
-            w.header(
-                "soda_tenant_journal_bytes",
-                "Current size of the tenant's feed journal in bytes.",
-                MetricKind::Gauge,
-            );
-            for t in &m.tenants {
-                w.int_value(
-                    "soda_tenant_journal_bytes",
-                    &[("tenant", t.tenant.clone())],
-                    t.durability.journal_bytes,
-                );
-            }
-            w.header(
-                "soda_tenant_journal_appends_total",
-                "Change feeds appended to the tenant's journal.",
-                MetricKind::Counter,
-            );
-            for t in &m.tenants {
-                w.int_value(
-                    "soda_tenant_journal_appends_total",
-                    &[("tenant", t.tenant.clone())],
-                    t.durability.journal_appends,
-                );
-            }
-            w.header(
-                "soda_tenant_checkpoints_total",
-                "Checkpoints written to the tenant's journal.",
-                MetricKind::Counter,
-            );
-            for t in &m.tenants {
-                w.int_value(
-                    "soda_tenant_checkpoints_total",
-                    &[("tenant", t.tenant.clone())],
-                    t.durability.checkpoints,
-                );
-            }
-            w.header(
-                "soda_tenant_replayed_feeds_total",
-                "Journaled feeds re-absorbed when the tenant was recovered.",
-                MetricKind::Counter,
-            );
-            for t in &m.tenants {
-                w.int_value(
-                    "soda_tenant_replayed_feeds_total",
-                    &[("tenant", t.tenant.clone())],
-                    t.durability.replayed_feeds,
-                );
-            }
-        }
-
-        // The SLO burn-rate families — present exactly when an SLO is
-        // declared, one sample per (tenant, objective).  Read-only: the
-        // alert-transition ledger is only advanced by `alerts()`.
-        if let Some(slo) = &self.shared.config.slo {
-            let evaluated = self.evaluate_slo();
-            w.header(
-                "soda_slo_target",
-                "Declared objective target fraction, per tenant and objective.",
-                MetricKind::Gauge,
-            );
-            for (_, alert) in &evaluated {
-                let target = match alert.objective {
-                    "latency" => slo.latency_target,
-                    _ => slo.availability_target,
-                };
-                w.value(
-                    "soda_slo_target",
-                    &[
-                        ("tenant", alert.tenant.clone()),
-                        ("objective", alert.objective.to_string()),
-                    ],
-                    target,
-                );
-            }
-            w.header(
-                "soda_slo_fast_burn_rate",
-                "Error-budget burn rate over the fast window, per tenant and objective.",
-                MetricKind::Gauge,
-            );
-            for (_, alert) in &evaluated {
-                w.value(
-                    "soda_slo_fast_burn_rate",
-                    &[
-                        ("tenant", alert.tenant.clone()),
-                        ("objective", alert.objective.to_string()),
-                    ],
-                    alert.fast_burn,
-                );
-            }
-            w.header(
-                "soda_slo_slow_burn_rate",
-                "Error-budget burn rate over the slow window, per tenant and objective.",
-                MetricKind::Gauge,
-            );
-            for (_, alert) in &evaluated {
-                w.value(
-                    "soda_slo_slow_burn_rate",
-                    &[
-                        ("tenant", alert.tenant.clone()),
-                        ("objective", alert.objective.to_string()),
-                    ],
-                    alert.slow_burn,
-                );
-            }
-            w.header(
-                "soda_slo_alert_state",
-                "Multi-window burn-alert state (0 = ok, 1 = pending, 2 = firing).",
-                MetricKind::Gauge,
-            );
-            for (_, alert) in &evaluated {
-                w.int_value(
-                    "soda_slo_alert_state",
-                    &[
-                        ("tenant", alert.tenant.clone()),
-                        ("objective", alert.objective.to_string()),
-                    ],
-                    alert.state.code(),
-                );
-            }
-        }
-
-        // The histogram families render under the latency lock (taken alone,
-        // consistent with the one-lock-at-a-time rule of `metrics`).
-        self.shared
+    /// Gathers one scrape, taking each lock alone and releasing it before
+    /// the next (never nested, so no lock order can invert).  Per-tenant
+    /// figures are read once and the service-wide ones derived from them:
+    /// counters as sums over tenants, the end-to-end histogram as their
+    /// merge.
+    fn scrape(&self) -> Scrape {
+        let latency = self
+            .shared
             .latency
             .lock()
             .expect("latency poisoned")
-            .write_prometheus(&mut w);
-        w.header(
-            "soda_tenant_query_duration_seconds",
-            "End-to-end query latency, per tenant.",
-            MetricKind::Histogram,
-        );
+            .clone();
+        let (cache, coalesced) = {
+            let store = self.shared.store.lock().expect("store poisoned");
+            (store.cache.stats(), store.coalesced)
+        };
+        let (queue_depth, lane_depths) = {
+            let state = self.shared.queue.lock().expect("queue poisoned");
+            (state.total, state.lane_depths())
+        };
+        let uptime = self.shared.started.elapsed();
+        let secs = uptime.as_secs_f64();
+        let per_second = |count: u64| if secs > 0.0 { count as f64 / secs } else { 0.0 };
+        let mut e2e = LogHistogram::new();
+        let mut tenant_e2e = Vec::new();
+        let mut tenants = Vec::new();
         for t in self.shared.tenants.all() {
-            let hist = t.e2e.lock().expect("tenant latency recorder poisoned");
-            w.histogram(
-                "soda_tenant_query_duration_seconds",
-                &[("tenant", t.id.as_str().to_string())],
-                &hist,
-            );
+            let hist = t
+                .e2e
+                .lock()
+                .expect("tenant latency recorder poisoned")
+                .clone();
+            e2e.merge(&hist);
+            tenants.push(TenantMetrics {
+                tenant: t.id.as_str().to_string(),
+                completed: hist.count(),
+                qps: per_second(hist.count()),
+                latency: LatencySummary::of(&hist),
+                warm_hits: t.warm_hits.load(Ordering::Relaxed),
+                executions: t.executions.load(Ordering::Relaxed),
+                admission_waits: t.admission_waits.load(Ordering::Relaxed),
+                slow_queries: t.slow_queries.load(Ordering::Relaxed),
+                sampled_traces: t.sampled_total.load(Ordering::Relaxed),
+                queue_depth: lane_depths.get(&t.id.fingerprint()).copied().unwrap_or(0),
+                generation: t.handle.generation(),
+                reloads: t.reloads.load(Ordering::Relaxed),
+                ingest_feeds: t.ingest_feeds.load(Ordering::Relaxed),
+                compactions: t.compactions.load(Ordering::Relaxed),
+                durability: durability_metrics(&t.durability),
+            });
+            tenant_e2e.push(hist);
         }
-        w.finish()
+        let total = |figure: fn(&TenantMetrics) -> u64| tenants.iter().map(figure).sum::<u64>();
+        // Re-sampled from the live handle on every call (not captured at
+        // construction), so the per-shard gauges and the generation always
+        // describe the snapshot that is serving *now*, including after a
+        // swap.  The top-level generation, shards and durability describe
+        // the default tenant; the per-tenant split is in `tenants`.
+        let default = self.shared.tenants.default_tenant();
+        let snapshot = default.handle.load();
+        let metrics = ServiceMetrics {
+            uptime,
+            completed: e2e.count(),
+            qps: per_second(e2e.count()),
+            latency: LatencySummary::of(&e2e),
+            queue_wait: LatencySummary::of(&latency.queue_wait),
+            execution: LatencySummary::of(&latency.execution),
+            stages: latency.stage_summaries(),
+            cache,
+            pipeline_executions: total(|t| t.executions),
+            coalesced,
+            slow_queries: total(|t| t.slow_queries),
+            queue_depth,
+            workers: self.workers.len(),
+            generation: snapshot.generation(),
+            reloads: total(|t| t.reloads),
+            ingest: IngestMetrics {
+                ingests: total(|t| t.ingest_feeds),
+                events: self.shared.ingest_events.load(Ordering::Relaxed),
+                rows: self.shared.ingest_rows.load(Ordering::Relaxed),
+                rows_appended: self.shared.ingest_rows_appended.load(Ordering::Relaxed),
+                tables_copied: self.shared.ingest_tables_copied.load(Ordering::Relaxed),
+                tables_shared: self.shared.ingest_tables_shared.load(Ordering::Relaxed),
+                compactions: total(|t| t.compactions),
+                compacted_shards: self.shared.compacted_shards.load(Ordering::Relaxed),
+            },
+            shards: snapshot.shard_stats(),
+            durability: durability_metrics(&default.durability),
+            tenants,
+        };
+        Scrape {
+            metrics,
+            e2e,
+            tenant_e2e,
+            latency,
+            slo: None,
+        }
     }
 
     /// A snapshot of the operational-event log, oldest retained entry
@@ -2538,7 +1998,6 @@ impl QueryService {
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
         let prev = tenant.folded_live();
         let generation = tenant.handle.publish(snapshot);
-        self.shared.reloads.fetch_add(1, Ordering::Relaxed);
         tenant.reloads.fetch_add(1, Ordering::Relaxed);
         self.shared.event(
             "reload",
@@ -2570,7 +2029,6 @@ impl QueryService {
         let prev = tenant.folded_live();
         let dirty = tenant.handle.load().shards_for_tables(tables);
         let generation = tenant.handle.rebuild_shards(db, tables);
-        self.shared.reloads.fetch_add(1, Ordering::Relaxed);
         tenant.reloads.fetch_add(1, Ordering::Relaxed);
         self.shared.event(
             "rebuild_shards",
@@ -2600,7 +2058,6 @@ impl QueryService {
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
         let prev = tenant.folded_live();
         let generation = tenant.handle.refresh_graph(graph);
-        self.shared.reloads.fetch_add(1, Ordering::Relaxed);
         tenant.reloads.fetch_add(1, Ordering::Relaxed);
         self.shared.event(
             "refresh_graph",
@@ -2664,7 +2121,6 @@ impl QueryService {
                 tenant_suffix(tenant)
             ),
         );
-        self.shared.ingests.fetch_add(1, Ordering::Relaxed);
         tenant.ingest_feeds.fetch_add(1, Ordering::Relaxed);
         self.shared
             .ingest_events
@@ -2886,7 +2342,6 @@ fn compact_under_swap_lock(
             tenant_suffix(tenant)
         ),
     );
-    shared.compactions.fetch_add(1, Ordering::Relaxed);
     tenant.compactions.fetch_add(1, Ordering::Relaxed);
     shared
         .compacted_shards
@@ -3145,7 +2600,6 @@ fn worker_loop(shared: &Shared) {
         // the pending-entry removal and end up waiting forever.
         let waiters = {
             let mut store = shared.store.lock().expect("store poisoned");
-            store.pipeline_executions += 1;
             if let (Ok(page), true) = (&outcome, still_live) {
                 store.cache.insert(
                     job.key.clone(),
@@ -3161,7 +2615,7 @@ fn worker_loop(shared: &Shared) {
         };
         job.tenant.executions.fetch_add(1, Ordering::Relaxed);
         let e2e = job.submitted.elapsed();
-        shared.record_executed(e2e, queue_wait, execution, timings.as_ref());
+        shared.record_executed(queue_wait, execution, timings.as_ref());
         job.tenant.record_response(e2e);
         shared.record_slo(&job.tenant, e2e, outcome.is_ok());
         let trace = collecting.map(CollectingSink::finish);
@@ -3171,7 +2625,6 @@ fn worker_loop(shared: &Shared) {
         // caller experienced).
         if let (Some(threshold), Some(trace)) = (shared.slow_query_threshold, &trace) {
             if e2e >= threshold {
-                shared.slow_queries.fetch_add(1, Ordering::Relaxed);
                 job.tenant.slow_queries.fetch_add(1, Ordering::Relaxed);
                 shared.event(
                     "slow_query",
@@ -3212,7 +2665,6 @@ fn worker_loop(shared: &Shared) {
             }
         }
         for waiter in waiters {
-            shared.record_hit(waiter.submitted);
             let waited = waiter.submitted.elapsed();
             job.tenant.record_response(waited);
             shared.record_slo(&job.tenant, waited, outcome.is_ok());

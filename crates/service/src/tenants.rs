@@ -42,7 +42,9 @@ use crate::service::{DurabilityState, QueryService, SampledTrace, ServiceConfig,
 use crate::slo::SloWindow;
 
 /// One tenant's serving state: identity, snapshot, swap lock, fairness
-/// counters and (optionally) its write-ahead journal.
+/// counters and (optionally) its write-ahead journal.  The counters and the
+/// end-to-end histogram here are the only record of their figures; the
+/// service-wide totals are sums (and a histogram merge) over tenants.
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
     /// The tenant's swappable current snapshot.  Submissions load it once

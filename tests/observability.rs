@@ -1,8 +1,8 @@
 //! Cross-crate acceptance tests of the observability surface: end-to-end
 //! query traces (span trees with per-shard probe sub-spans), the queue-wait /
 //! execution latency split, the slow-query log and the Prometheus text
-//! exposition — including the golden `# TYPE` surface that pins the metric
-//! names as a stable interface.
+//! exposition — including the golden `# TYPE` and `# HELP` surface that
+//! pins the metric names and descriptions as a stable interface.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -214,8 +214,9 @@ fn slow_queries_land_full_traces_in_the_log() {
 }
 
 /// The Prometheus exposition parses as valid text format 0.0.4 and its
-/// family surface (`# TYPE` lines: names and kinds) matches the checked-in
-/// golden file — the scrape interface is stable.
+/// family surface matches the checked-in golden files — `# TYPE` lines
+/// (names, kinds and order) and `# HELP` lines (the operator-facing
+/// descriptions) — so the scrape interface is stable.
 #[test]
 fn metrics_text_matches_the_golden_type_surface() {
     let (db, graph) = {
@@ -267,6 +268,15 @@ fn metrics_text_matches_the_golden_type_surface() {
     assert_eq!(
         got, want,
         "the metric-family surface changed; update tests/golden/metrics_types.txt \
+         only on a deliberate interface change"
+    );
+
+    let got: Vec<&str> = text.lines().filter(|l| l.starts_with("# HELP ")).collect();
+    let golden = include_str!("golden/metrics_help.txt");
+    let want: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        got, want,
+        "the metric-family descriptions changed; update tests/golden/metrics_help.txt \
          only on a deliberate interface change"
     );
 }

@@ -6,6 +6,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
+
 use soda::prelude::*;
 use soda::warehouse::minibank;
 
@@ -283,4 +285,32 @@ fn batched_handles_round_trip_a_mixed_workload() {
     let metrics = service.metrics();
     assert_eq!(metrics.completed, QUERIES.len() as u64);
     assert!(metrics.latency.max >= metrics.latency.p50);
+}
+
+/// Printable ASCII plus Latin-1, Greek, Cyrillic, CJK, kana, emoji,
+/// combining marks and zero-width characters: multi-byte UTF-8 of every
+/// width, up to 200 characters.
+const UNICODE_INPUT: &str = "[ -~¡-ÿΑ-ωА-я一-丿ぁ-ん😀-🙏\u{300}-\u{36F}\u{200B}-\u{200D}]{0,200}";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// No input panics the service: arbitrary Unicode submitted through
+    /// `query(..).wait()` resolves to a page or an engine error, never a
+    /// disconnected handle from a crashed worker.
+    #[test]
+    fn arbitrary_unicode_queries_resolve_without_panicking(input in UNICODE_INPUT) {
+        thread_local! {
+            static SERVICE: QueryService =
+                QueryService::start(shared_snapshot(), ServiceConfig::default().workers(1));
+        }
+        SERVICE.with(|service| {
+            let outcome = service.query(QueryRequest::new(input.as_str())).wait();
+            prop_assert!(
+                matches!(outcome, Ok(_) | Err(soda::service::ServiceError::Engine(_))),
+                "{input:?} resolved to {outcome:?}"
+            );
+            Ok(())
+        })?;
+    }
 }

@@ -353,3 +353,106 @@ fn the_tenant_roster_tracks_registrations() {
         Err(soda_service::ServiceError::UnknownTenant(t)) if t == "initech"
     ));
 }
+
+/// Every service-wide counter of the Prometheus exposition is the sum of
+/// its per-tenant `soda_tenant_*` sibling, and the end-to-end histogram
+/// counts exactly the completed queries — after two tenants carried
+/// traffic (cold, warm and traced), a reload, ingests, a compaction and
+/// slow-query captures.
+#[test]
+fn service_wide_counters_are_the_sums_of_their_tenant_siblings() {
+    let service = QueryService::start(
+        snapshot_for_seed(42),
+        ServiceConfig::default().slow_query_threshold(std::time::Duration::ZERO),
+    );
+    service
+        .add_tenant("acme", snapshot_for_seed(7))
+        .expect("acme registers");
+    for tenant in ["default", "acme"] {
+        for query in QUERIES.iter().chain(QUERIES) {
+            page_for(&service, tenant, query);
+        }
+    }
+    service
+        .query(QueryRequest::new("Credit Suisse").tenant("acme").traced())
+        .wait()
+        .expect("traced query serves");
+
+    let acme = service.admin("acme").expect("acme");
+    let w = minibank::build(7);
+    acme.reload(EngineSnapshot::build(
+        Arc::new(w.database),
+        Arc::new(w.graph),
+        SodaConfig::default(),
+    ));
+    for (tenant, id) in [("default", 900), ("acme", 901)] {
+        service
+            .admin(tenant)
+            .expect("tenant")
+            .ingest(&ChangeFeed::new().append_row(
+                "addresses",
+                vec![
+                    Value::Int(id),
+                    Value::Int(1),
+                    Value::from("Sum Lane 1"),
+                    Value::from("Totalville"),
+                    Value::from("Switzerland"),
+                ],
+            ))
+            .expect("ingest");
+    }
+    let shards: Vec<usize> = (0..acme.engine().shard_stats().shards).collect();
+    assert!(
+        acme.compact(&shards).is_some(),
+        "acme had a side log to fold"
+    );
+    page_for(&service, "acme", "Totalville");
+
+    let text = service.metrics_text();
+    soda::trace::prom::validate(&text).expect("exposition must validate");
+    // `name` alone, or `name{labels}`, summed over every matching sample.
+    let sum = |family: &str| -> u64 {
+        text.lines()
+            .filter(|l| {
+                l.strip_prefix(family)
+                    .is_some_and(|rest| rest.starts_with(' ') || rest.starts_with('{'))
+            })
+            .map(|l| {
+                let value = l.rsplit(' ').next().expect("sample value");
+                value.parse::<u64>().expect("integer sample")
+            })
+            .sum()
+    };
+    for (total, per_tenant) in [
+        (
+            "soda_queries_completed_total",
+            "soda_tenant_queries_completed_total",
+        ),
+        (
+            "soda_pipeline_executions_total",
+            "soda_tenant_pipeline_executions_total",
+        ),
+        ("soda_slow_queries_total", "soda_tenant_slow_queries_total"),
+        ("soda_reloads_total", "soda_tenant_reloads_total"),
+        ("soda_ingest_feeds_total", "soda_tenant_ingest_feeds_total"),
+        ("soda_compactions_total", "soda_tenant_compactions_total"),
+        ("soda_queue_depth", "soda_tenant_queue_depth"),
+        (
+            "soda_query_duration_seconds_count",
+            "soda_tenant_query_duration_seconds_count",
+        ),
+    ] {
+        assert!(
+            sum(total) > 0 || total == "soda_queue_depth",
+            "{total} idle"
+        );
+        assert_eq!(sum(total), sum(per_tenant), "{total} vs {per_tenant}");
+    }
+    assert_eq!(
+        sum("soda_queries_completed_total"),
+        sum("soda_query_duration_seconds_count")
+    );
+    assert_eq!(sum("soda_reloads_total"), 1);
+    assert_eq!(sum("soda_ingest_feeds_total"), 2);
+    assert_eq!(sum("soda_compactions_total"), 1);
+}
